@@ -10,6 +10,7 @@
 //! `conv3x3_c64/simd` vs `conv3x3_c64/simd_mt4` the thread-scaling
 //! smoke (enforced only on hosts with ≥ 4 cores).
 
+use pico_fleet::{FleetConfig, FleetFrontier};
 use pico_model::{zoo, ConvSpec, Layer, Model, PoolSpec, Region2, Rows, Shape};
 use pico_partition::{Cluster, CostParams, PlanRequest};
 use pico_tensor::{Engine, EngineBackend, Scratch, Tensor};
@@ -184,14 +185,55 @@ pub fn measured_backend_alpha(
     )
 }
 
-/// The planner suite: each paper planner planning VGG16 and the toy
-/// model on an 8-device Pi cluster (`plan_<model>/<planner>`, `flops`
-/// 0 — planning does no tensor arithmetic).
+/// The models the planner suite plans, by row label: the toy chain and
+/// the feature extractors of one chain and two graph CNNs.
+fn planner_models() -> Vec<(&'static str, Model)> {
+    vec![
+        ("toy8", zoo::toy(8)),
+        ("vgg16", zoo::vgg16().features()),
+        ("resnet34", zoo::resnet34().features()),
+        ("inception_v3", zoo::inception_v3().features()),
+    ]
+}
+
+/// The deployments whose whole fleet frontier the planner suite builds:
+/// the models of the committed golden frontiers on the paper's
+/// heterogeneous mix and on a small and a large homogeneous cluster.
+fn frontier_cases() -> Vec<(String, Model, Cluster)> {
+    let models = [
+        ("resnet34", zoo::resnet34()),
+        ("vgg16", zoo::vgg16().features()),
+        ("inception_v3", zoo::inception_v3().features()),
+    ];
+    let clusters = [
+        ("paper8", Cluster::paper_heterogeneous()),
+        ("pi4", Cluster::pi_cluster(4, 1.0)),
+        ("pi16", Cluster::pi_cluster(16, 1.0)),
+    ];
+    let mut cases = Vec::new();
+    for (model_name, model) in &models {
+        for (cluster_name, cluster) in &clusters {
+            cases.push((
+                format!("frontier_build/{model_name}/{cluster_name}"),
+                model.clone(),
+                cluster.clone(),
+            ));
+        }
+    }
+    cases
+}
+
+/// The planner suite (`flops` 0 — planning does no tensor arithmetic):
+/// each paper planner planning every `planner_models` entry on an
+/// 8-device Pi cluster (`plan_<model>/<planner>`), then a full
+/// [`FleetFrontier::build`] — every planner, the `T_lim` sweep, the deep
+/// audits and the switch matrix, i.e. what a plan-cache miss costs —
+/// per `frontier_cases` deployment (`frontier_build/<model>/<cluster>`).
 pub fn planner(cfg: BenchConfig) -> BenchReport {
     let mut report = BenchReport::new("planner");
     let cluster = Cluster::pi_cluster(8, 1.0);
     let params = CostParams::wifi_50mbps();
-    for (model_name, model) in [("toy8", zoo::toy(8)), ("vgg16", zoo::vgg16().features())] {
+    for (model_name, model) in planner_models() {
         for (scheme, planner) in crate::paper_planners() {
             let name = format!("plan_{model_name}/{scheme:?}");
             report.records.push(bench("planner", &name, cfg, 0.0, || {
@@ -200,6 +242,12 @@ pub fn planner(cfg: BenchConfig) -> BenchReport {
                     .expect("paper planner plans its own benchmark");
             }));
         }
+    }
+    for (name, model, cluster) in frontier_cases() {
+        report.records.push(bench("planner", &name, cfg, 0.0, || {
+            FleetFrontier::build(&model, &cluster, &params, FleetConfig::default())
+                .expect("benchmark deployment has a viable plan");
+        }));
     }
     report
 }
@@ -306,10 +354,21 @@ mod tests {
     }
 
     #[test]
-    fn planner_suite_times_all_paper_planners() {
+    fn planner_suite_times_all_paper_planners_and_frontier_builds() {
         let report = planner(BenchConfig::new(0, 1, 1));
-        assert_eq!(report.records.len(), 2 * crate::paper_planners().len());
+        assert_eq!(
+            report.records.len(),
+            planner_models().len() * crate::paper_planners().len() + frontier_cases().len()
+        );
         assert!(report.records.iter().all(|r| r.flops == 0.0));
+        for name in [
+            "plan_resnet34/Pico",
+            "plan_inception_v3/OptimalFused",
+            "frontier_build/resnet34/paper8",
+            "frontier_build/vgg16/pi16",
+        ] {
+            assert!(report.record(name).is_some(), "missing row {name}");
+        }
     }
 
     #[test]

@@ -155,23 +155,27 @@ impl FleetFrontier {
         let sim = Simulation::new(model, cluster, params);
         let request = PlanRequest::new(model, cluster, params);
 
-        let planners: [&dyn Planner; 6] = [
+        // The T_lim sweep prices PICO's stage table once and hands back
+        // the unconstrained plan it starts from; only a request that
+        // carries its own T_lim needs a PICO run (and table) of its own.
+        let (unconstrained, sweep) = pareto::sweep(model, cluster, params, config.steps);
+        let pico = match params.t_lim {
+            None => Some(unconstrained),
+            Some(_) => PicoPlanner::new().plan(&request).ok(),
+        };
+        let planners: [&dyn Planner; 5] = [
             &LayerWise,
             &EarlyFused::new(),
             &OptimalFused,
             &GridFused::new(),
             &Interleaved,
-            &PicoPlanner::new(),
         ];
-        let mut plans: Vec<Plan> = planners
+        let plans: Vec<Plan> = planners
             .iter()
             .filter_map(|p| p.plan(&request).ok())
+            .chain(pico)
+            .chain(sweep.into_iter().map(|point| point.plan))
             .collect();
-        plans.extend(
-            pareto::frontier(model, cluster, params, config.steps)
-                .into_iter()
-                .map(|point| point.plan),
-        );
 
         let mut entries: Vec<FleetEntry> = Vec::new();
         for plan in plans {

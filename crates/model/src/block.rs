@@ -108,27 +108,9 @@ impl Block {
     pub fn input_rows(&self, out: Rows, input: Shape) -> Result<Rows, ModelError> {
         let mut hull = Rows::empty();
         for path in &self.paths {
-            let mut rows = out;
-            // Walk the path backwards, tracking each layer's input height.
-            let heights = self.path_heights(path, input)?;
-            for (layer, in_h) in path.iter().zip(heights.iter()).rev() {
-                rows = layer.input_rows(rows, *in_h);
-            }
-            hull = hull.hull(rows);
+            hull = hull.hull(path_input_rows(path, input, out)?);
         }
         Ok(hull)
-    }
-
-    /// Input height of each layer along `path` (index `i` = input height
-    /// of `path[i]`).
-    fn path_heights(&self, path: &[Layer], input: Shape) -> Result<Vec<usize>, ModelError> {
-        let mut heights = Vec::with_capacity(path.len());
-        let mut shape = input;
-        for layer in path {
-            heights.push(shape.height);
-            shape = layer.output_shape(shape)?;
-        }
-        Ok(heights)
     }
 
     /// FLOPs to compute output rows `out` of this block, summed over all
@@ -136,21 +118,7 @@ impl Block {
     pub fn flops(&self, out: Rows, input: Shape) -> Result<f64, ModelError> {
         let mut total = 0.0;
         for path in &self.paths {
-            // Forward pass to know every intermediate shape.
-            let mut shapes = Vec::with_capacity(path.len() + 1);
-            shapes.push(input);
-            for layer in path {
-                let prev = *shapes.last().expect("shapes is never empty");
-                shapes.push(layer.output_shape(prev)?);
-            }
-            // Backward pass: rows each layer must produce.
-            let mut rows = out;
-            for (i, layer) in path.iter().enumerate().rev() {
-                let out_shape = shapes[i + 1];
-                let produced = rows.clamp_to(out_shape.height);
-                total += layer.flops(produced.len(), out_shape);
-                rows = layer.input_rows(produced, shapes[i].height);
-            }
+            path_flops(path, input, out, &mut total)?;
         }
         Ok(total)
     }
@@ -168,6 +136,35 @@ impl Block {
     pub fn layer_count(&self) -> usize {
         self.paths.iter().map(Vec::len).sum()
     }
+}
+
+/// Rows of `path`'s input needed for rows `out` of its output, where
+/// `input` is the shape entering the path. Recursion carries each
+/// layer's shape forward and the row range back, so the walk needs no
+/// scratch buffer (planners call it once per share per unit).
+fn path_input_rows(path: &[Layer], input: Shape, out: Rows) -> Result<Rows, ModelError> {
+    let Some((first, rest)) = path.split_first() else {
+        return Ok(out);
+    };
+    let rows = path_input_rows(rest, first.output_shape(input)?, out)?;
+    Ok(first.input_rows(rows, input.height))
+}
+
+/// Adds to `total`, last layer first, the FLOPs `path` spends on rows
+/// `out` of its output; returns the rows of the path's input that takes.
+fn path_flops(
+    path: &[Layer],
+    input: Shape,
+    out: Rows,
+    total: &mut f64,
+) -> Result<Rows, ModelError> {
+    let Some((first, rest)) = path.split_first() else {
+        return Ok(out);
+    };
+    let out_shape = first.output_shape(input)?;
+    let produced = path_flops(rest, out_shape, out, total)?.clamp_to(out_shape.height);
+    *total += first.flops(produced.len(), out_shape);
+    Ok(first.input_rows(produced, input.height))
 }
 
 #[cfg(test)]

@@ -313,14 +313,17 @@ impl Model {
     ///
     /// Panics if `seg` is out of bounds.
     pub fn segment_flops(&self, seg: Segment, out_rows: Rows) -> f64 {
-        let trace = self.segment_row_trace(seg, out_rows);
+        self.check_segment(seg).expect("segment out of bounds");
+        // Accumulated along the backward row walk, last unit first.
+        // Every unit's count is an integer far below 2^53, so the sum
+        // is exact in any order (tests/flops_exact.rs pins this against
+        // the forward-order sum).
         let mut total = 0.0;
-        for (k, i) in seg.iter().enumerate() {
-            total += self.units[i].flops(
-                trace[k],
-                self.unit_input_shape(i),
-                self.unit_output_shape(i),
-            );
+        let mut rows = out_rows.clamp_to(self.unit_output_shape(seg.end - 1).height);
+        for i in seg.iter().rev() {
+            let input = self.unit_input_shape(i);
+            total += self.units[i].flops(rows, input, self.unit_output_shape(i));
+            rows = self.units[i].input_rows(rows, input);
         }
         total
     }

@@ -349,19 +349,163 @@ impl<'m> CostModel<'m> {
     /// first `p` devices of `cluster` (the homogeneous `Ts[i][j][p]` of
     /// Algorithm 1).
     pub fn even_stage_cost(&self, seg: Segment, cluster: &Cluster, p: usize) -> StageCost {
-        let h = self.model.unit_output_shape(seg.end - 1).height;
-        let shares = pico_model::rows_split_even(Rows::full(h), p);
-        let stage = Stage::new(
-            seg,
-            cluster
-                .devices()
-                .iter()
-                .take(p)
-                .zip(shares)
-                .map(|(d, r)| crate::Assignment::new(d.id, r))
-                .collect(),
-        );
+        let stage = Stage::new(seg, self.even_shares(seg.end, cluster, p));
         self.stage_cost(&stage, cluster)
+    }
+
+    /// The output rows of unit `end - 1` split evenly into `p` strips
+    /// over the first `p` devices of `cluster`.
+    fn even_shares(&self, end: usize, cluster: &Cluster, p: usize) -> Vec<Assignment> {
+        let h = self.model.unit_output_shape(end - 1).height;
+        cluster
+            .devices()
+            .iter()
+            .zip(pico_model::rows_split_even(Rows::full(h), p))
+            .map(|(d, r)| Assignment::new(d.id, r))
+            .collect()
+    }
+
+    /// Prices every segment that ends at unit `end` in one backward
+    /// walk: `result[i]` is the cost of the stage covering units
+    /// `[i, end)` with the row-strip `shares` of unit `end - 1`'s
+    /// output, bit-identical to [`stage_cost`](Self::stage_cost) on
+    /// `Stage::new(Segment::new(i, end), shares.to_vec())`.
+    ///
+    /// The rows a share needs of unit `u` depend on `(end, share)` only,
+    /// never on where the segment starts, so each non-empty share is
+    /// walked back from unit `end - 1` to `0` once; its running FLOP
+    /// total (the order [`Model::segment_flops`] accumulates in) and
+    /// input-row extent at unit `i` are exactly those of `[i, end)`.
+    /// Pricing all `end` suffixes therefore costs `end` unit evaluations
+    /// per share instead of `end² / 2`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `end` is not in `1..=model.len()`, if a share restricts
+    /// columns (grid tiles do not share a row walk), or if a non-empty
+    /// share references a device missing from `cluster`.
+    pub fn suffix_stage_costs(
+        &self,
+        end: usize,
+        shares: &[Assignment],
+        cluster: &Cluster,
+    ) -> Vec<StageCost> {
+        assert!(
+            (1..=self.model.len()).contains(&end),
+            "segment end {end} out of bounds"
+        );
+        assert!(
+            shares.iter().all(|a| a.cols.is_none()),
+            "suffix pricing takes row strips only"
+        );
+        let out_shape = self.model.unit_output_shape(end - 1);
+        let scale = self.params.interference * self.params.backend_alpha * self.params.alpha_scale;
+        let workers: Vec<&Assignment> = shares.iter().filter(|a| !a.is_empty()).collect();
+        // comp[w * end + i] / comm[w * end + i]: worker `w`'s Eq. 5 and
+        // Eq. 7 times on segment [i, end).
+        let mut comp = vec![0.0; workers.len() * end];
+        let mut comm = vec![0.0; workers.len() * end];
+        for (w, a) in workers.iter().enumerate() {
+            let device = cluster
+                .device(a.device)
+                .expect("plan references device missing from cluster");
+            let out_bytes = out_shape.row_bytes(a.rows.len());
+            let mut rows = a.rows.clamp_to(out_shape.height);
+            let mut flops = 0.0;
+            for i in (0..end).rev() {
+                let unit = self.model.unit(i);
+                let input = self.model.unit_input_shape(i);
+                flops += unit.flops(rows, input, self.model.unit_output_shape(i));
+                rows = unit.input_rows(rows, input);
+                comp[w * end + i] = scale * device.compute_time(flops);
+                let bytes = input.row_bytes(rows.len()) + out_bytes;
+                comm[w * end + i] = bytes as f64 * 8.0 / self.params.bandwidth_bps;
+            }
+        }
+        (0..end)
+            .map(|i| StageCost {
+                comp: (0..workers.len())
+                    .map(|w| comp[w * end + i])
+                    .fold(0.0, f64::max),
+                comm: (0..workers.len()).map(|w| comm[w * end + i]).sum(),
+            })
+            .collect()
+    }
+
+    /// Builds Algorithm 1's whole `Ts[i][j][p]` table over `cluster`:
+    /// every cell equals
+    /// [`even_stage_cost(Segment::new(i, j), cluster, p).total()`](Self::even_stage_cost)
+    /// bit for bit, priced with one
+    /// [`suffix_stage_costs`](Self::suffix_stage_costs) walk per
+    /// `(j, p)` instead of one segment walk per cell.
+    ///
+    /// The table depends on the model, the cluster and the parameters
+    /// other than `t_lim`, so one table serves a whole `T_lim` sweep.
+    pub fn even_stage_table(&self, cluster: &Cluster) -> StageTable {
+        let units = self.model.len();
+        let devices = cluster.len();
+        let mut table = StageTable {
+            units,
+            devices,
+            totals: vec![0.0; units * units * devices],
+        };
+        for end in 1..=units {
+            for p in 1..=devices {
+                let shares = self.even_shares(end, cluster, p);
+                for (start, cost) in self
+                    .suffix_stage_costs(end, &shares, cluster)
+                    .iter()
+                    .enumerate()
+                {
+                    let cell = table.index(Segment::new(start, end), p);
+                    table.totals[cell] = cost.total();
+                }
+            }
+        }
+        table
+    }
+}
+
+/// Algorithm 1's stage-cost table `Ts[i][j][p]`: the total time
+/// (Eq. 9) of one stage covering units `[i, j)` split evenly over the
+/// first `p` devices of a cluster, for every segment of the model and
+/// every `p` up to the cluster size. Built by
+/// [`CostModel::even_stage_table`].
+#[derive(Debug, Clone)]
+pub struct StageTable {
+    units: usize,
+    devices: usize,
+    totals: Vec<f64>,
+}
+
+impl StageTable {
+    /// Number of model units `L` the table covers.
+    pub fn units(&self) -> usize {
+        self.units
+    }
+
+    /// Largest worker count `|D|` the table covers.
+    pub fn devices(&self) -> usize {
+        self.devices
+    }
+
+    /// `Ts[seg.start][seg.end][p]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seg` reaches past the model or `p` is not in
+    /// `1..=self.devices()`.
+    pub fn total(&self, seg: Segment, p: usize) -> f64 {
+        self.totals[self.index(seg, p)]
+    }
+
+    fn index(&self, seg: Segment, p: usize) -> usize {
+        assert!(seg.end <= self.units, "segment {seg} out of bounds");
+        assert!(
+            (1..=self.devices).contains(&p),
+            "worker count {p} out of bounds"
+        );
+        (seg.start * self.units + seg.end - 1) * self.devices + p - 1
     }
 }
 

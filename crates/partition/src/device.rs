@@ -206,15 +206,20 @@ impl Cluster {
     /// Device ids sorted by capacity, strongest first (Algorithm 2
     /// line 3 sorts "by compute capabilities").
     pub fn ids_by_capacity_desc(&self) -> Vec<usize> {
-        let mut ids: Vec<usize> = self.devices.iter().map(|d| d.id).collect();
-        ids.sort_by(|&a, &b| {
-            let ca = self.device(a).expect("id from this cluster").capacity;
-            let cb = self.device(b).expect("id from this cluster").capacity;
-            cb.partial_cmp(&ca)
+        // Sort positions (O(1) lookups in the comparator), then swap
+        // each position for its device's id in place.
+        let mut order: Vec<usize> = (0..self.devices.len()).collect();
+        order.sort_by(|&a, &b| {
+            let (a, b) = (&self.devices[a], &self.devices[b]);
+            b.capacity
+                .partial_cmp(&a.capacity)
                 .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
+                .then(a.id.cmp(&b.id))
         });
-        ids
+        for slot in &mut order {
+            *slot = self.devices[*slot].id;
+        }
+        order
     }
 
     /// This cluster without the given devices — the re-planning input
@@ -313,6 +318,19 @@ mod tests {
         let caps: Vec<f64> = ids.iter().map(|i| c.device(*i).unwrap().capacity).collect();
         assert!(caps.windows(2).all(|w| w[0] >= w[1]));
         assert_eq!(ids.len(), 8);
+    }
+
+    #[test]
+    fn ids_by_capacity_desc_breaks_ties_by_id() {
+        // Declaration order is not id order; equal clocks sort by id.
+        let c = Cluster::new(vec![
+            Device::from_frequency(7, 0.6),
+            Device::from_frequency(2, 0.8),
+            Device::from_frequency(5, 1.2),
+            Device::from_frequency(4, 0.6),
+            Device::from_frequency(0, 1.2),
+        ]);
+        assert_eq!(c.ids_by_capacity_desc(), vec![0, 5, 2, 4, 7]);
     }
 
     #[test]

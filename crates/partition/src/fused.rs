@@ -2,20 +2,27 @@ use pico_model::{rows_split_weighted, Model, Rows, Segment};
 use pico_telemetry::names;
 
 use crate::{
-    Assignment, Cluster, ExecutionMode, Plan, PlanError, PlanRequest, Planner, Scheme, Stage,
+    Assignment, Cluster, Device, ExecutionMode, Plan, PlanError, PlanRequest, Planner, Scheme,
+    Stage,
 };
+
+/// Capacity-weighted row shares of an `h`-row output map over
+/// `devices`, in the given order.
+fn weighted_shares<'d>(
+    h: usize,
+    devices: impl Iterator<Item = &'d Device> + Clone,
+) -> Vec<Assignment> {
+    let weights: Vec<f64> = devices.clone().map(|d| d.capacity).collect();
+    devices
+        .zip(rows_split_weighted(Rows::full(h), &weights))
+        .map(|(d, r)| Assignment::new(d.id, r))
+        .collect()
+}
 
 /// Builds the capacity-weighted all-device stage for `seg`.
 fn weighted_stage(model: &Model, cluster: &Cluster, seg: Segment) -> Stage {
     let h = model.unit_output_shape(seg.end - 1).height;
-    let weights: Vec<f64> = cluster.devices().iter().map(|d| d.capacity).collect();
-    let assignments = cluster
-        .devices()
-        .iter()
-        .zip(rows_split_weighted(Rows::full(h), &weights))
-        .map(|(d, r)| Assignment::new(d.id, r))
-        .collect();
-    Stage::new(seg, assignments)
+    Stage::new(seg, weighted_shares(h, cluster.devices().iter()))
 }
 
 /// Builds the single-device stage for `seg` on device `device`.
@@ -130,6 +137,14 @@ impl OptimalFused {
     }
 }
 
+/// One way OFL may run the segments that end at a given unit.
+struct Layout {
+    /// Row shares of that unit's output.
+    shares: Vec<Assignment>,
+    /// `totals[i]`: stage time (Eq. 9) of units `[i, end)` under `shares`.
+    totals: Vec<f64>,
+}
+
 impl Planner for OptimalFused {
     fn name(&self) -> &'static str {
         "OFL"
@@ -142,37 +157,52 @@ impl Planner for OptimalFused {
         let params = req.params();
         let cm = params.cost_model(model);
         let l = model.len();
-        let fastest = cluster.ids_by_capacity_desc()[0];
+        let by_capacity: Vec<&Device> = cluster
+            .ids_by_capacity_desc()
+            .iter()
+            .map(|id| cluster.device(*id).expect("id from this cluster"))
+            .collect();
 
-        // Cheapest execution of units [i, j): solo on the fastest
-        // device, or capacity-weighted across the p strongest devices
-        // for p in {2, 4, ..., |D|}.
-        let by_capacity = cluster.ids_by_capacity_desc();
-        let candidate = |i: usize, j: usize| -> (Stage, f64) {
-            let seg = Segment::new(i, j);
-            let solo = solo_stage(model, seg, fastest);
-            let solo_cost = cm.stage_cost(&solo, cluster).total();
-            let mut best = (solo, solo_cost);
-            if cluster.len() == 1 || !model.unit(j - 1).is_partitionable() {
-                return best;
-            }
-            let mut p = 2;
-            loop {
-                let p_eff = p.min(cluster.len());
-                let subset: Cluster = by_capacity[..p_eff]
-                    .iter()
-                    .map(|id| cluster.device(*id).expect("id from this cluster").clone())
-                    .collect();
-                let par = weighted_stage(model, &subset, seg);
-                let par_cost = cm.stage_cost(&par, cluster).total();
-                if par_cost < best.1 {
-                    best = (par, par_cost);
+        // The ways to run a segment ending at unit `j`: solo on the
+        // fastest device, or capacity-weighted across the p strongest
+        // devices for p in {2, 4, ..., |D|}. A layout's shares depend on
+        // `j` only, so one suffix walk prices it for every start `i`.
+        let layouts_ending_at = |j: usize| -> Vec<Layout> {
+            let h = model.unit_output_shape(j - 1).height;
+            let mut options = vec![vec![Assignment::new(by_capacity[0].id, Rows::full(h))]];
+            if cluster.len() > 1 && model.unit(j - 1).is_partitionable() {
+                let mut p = 2;
+                loop {
+                    let p_eff = p.min(cluster.len());
+                    options.push(weighted_shares(h, by_capacity[..p_eff].iter().copied()));
+                    if p_eff == cluster.len() {
+                        break;
+                    }
+                    p *= 2;
                 }
-                if p_eff == cluster.len() {
-                    return best;
-                }
-                p *= 2;
             }
+            options
+                .into_iter()
+                .map(|shares| Layout {
+                    totals: cm
+                        .suffix_stage_costs(j, &shares, cluster)
+                        .iter()
+                        .map(|c| c.total())
+                        .collect(),
+                    shares,
+                })
+                .collect()
+        };
+        let layouts: Vec<Vec<Layout>> = (1..=l).map(layouts_ending_at).collect();
+        // Cheapest layout of units [i, j); the least parallel wins ties.
+        let candidate = |i: usize, j: usize| -> &Layout {
+            let mut best = &layouts[j - 1][0];
+            for layout in &layouts[j - 1][1..] {
+                if layout.totals[i] < best.totals[i] {
+                    best = layout;
+                }
+            }
+            best
         };
 
         // dp[j] = (best cost for units [0, j), predecessor split point).
@@ -183,8 +213,7 @@ impl Planner for OptimalFused {
                 if dp[i].0.is_infinite() {
                     continue;
                 }
-                let (_, cost) = candidate(i, j);
-                let total = dp[i].0 + cost;
+                let total = dp[i].0 + candidate(i, j).totals[i];
                 if total < dp[j].0 {
                     dp[j] = (total, i);
                 }
@@ -199,7 +228,15 @@ impl Planner for OptimalFused {
             cuts.push(j);
         }
         cuts.reverse();
-        let stages: Vec<Stage> = cuts.windows(2).map(|w| candidate(w[0], w[1]).0).collect();
+        let stages: Vec<Stage> = cuts
+            .windows(2)
+            .map(|w| {
+                Stage::new(
+                    Segment::new(w[0], w[1]),
+                    candidate(w[0], w[1]).shares.clone(),
+                )
+            })
+            .collect();
         let plan = Plan::new(Scheme::OptimalFused, ExecutionMode::Sequential, stages);
         if let Some(t_lim) = params.t_lim {
             let latency = cm.evaluate(&plan, cluster).latency;

@@ -59,7 +59,7 @@ pub mod symbolic;
 
 pub use bfs::BfsOptimal;
 pub use churn::{ChurnEpoch, ChurnError, ChurnEvent, ChurnKind, ChurnMembership, ClusterSchedule};
-pub use cost::{CostModel, CostParams, PlanMetrics, StageCost};
+pub use cost::{CostModel, CostParams, PlanMetrics, StageCost, StageTable};
 pub use device::{Cluster, Device, FLOPS_PER_CYCLE};
 pub use diag::{structural_diagnostics, Code, Diagnostic, Severity};
 pub use error::PlanError;

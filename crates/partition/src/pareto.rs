@@ -9,7 +9,8 @@
 use pico_model::Model;
 use serde::{Deserialize, Serialize};
 
-use crate::{Cluster, CostParams, PicoPlanner, Plan, PlanRequest, Planner};
+use crate::pico::plan_over_table;
+use crate::{Cluster, CostParams, Plan};
 
 /// One achievable operating point.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -58,6 +59,24 @@ pub fn frontier(
     params: &CostParams,
     steps: usize,
 ) -> Vec<FrontierPoint> {
+    sweep(model, cluster, params, steps).1
+}
+
+/// [`frontier`], plus the unconstrained PICO plan the sweep starts from
+/// (what [`PicoPlanner`](crate::PicoPlanner) returns for `params`
+/// without a `t_lim`) — the frontier itself may drop that plan when a
+/// constrained one dominates it. A caller that wants both, like the
+/// fleet builder, gets them from the one priced `Ts` table.
+///
+/// # Panics
+///
+/// As [`frontier`].
+pub fn sweep(
+    model: &Model,
+    cluster: &Cluster,
+    params: &CostParams,
+    steps: usize,
+) -> (Plan, Vec<FrontierPoint>) {
     assert!(steps > 0, "need at least one step");
     // Same environment minus the latency limit; the calibrated compute
     // coefficient must survive the rebuild.
@@ -66,18 +85,19 @@ pub fn frontier(
         ..*params
     };
     let cm = base_params.cost_model(model);
-    let planner = PicoPlanner::new();
+    // `Ts` does not depend on `T_lim`: price it once, run every DP of
+    // the sweep over it.
+    let ts = cm.even_stage_table(&cluster.averaged());
 
-    let unconstrained = planner
-        .plan(&PlanRequest::new(model, cluster, &base_params))
-        .expect("unconstrained planning always succeeds");
+    let unconstrained =
+        plan_over_table(model, cluster, &ts, None).expect("unconstrained planning always succeeds");
     let top = cm.evaluate(&unconstrained, cluster);
 
     let mut points = vec![FrontierPoint {
         t_lim: None,
         period: top.period,
         latency: top.latency,
-        plan: unconstrained,
+        plan: unconstrained.clone(),
     }];
 
     // Tighten the limit step by step below the unconstrained latency;
@@ -87,8 +107,7 @@ pub fn frontier(
         if t_lim <= 0.0 {
             continue;
         }
-        let constrained = base_params.with_t_lim(t_lim);
-        if let Ok(plan) = planner.plan(&PlanRequest::new(model, cluster, &constrained)) {
+        if let Ok(plan) = plan_over_table(model, cluster, &ts, Some(t_lim)) {
             let m = cm.evaluate(&plan, cluster);
             points.push(FrontierPoint {
                 t_lim: Some(t_lim),
@@ -120,7 +139,7 @@ pub fn frontier(
             _ => out.push(p),
         }
     }
-    out
+    (unconstrained, out)
 }
 
 #[cfg(test)]

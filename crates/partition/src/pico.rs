@@ -1,7 +1,7 @@
 use pico_model::{Model, Rows, Segment};
 use pico_telemetry::names;
 
-use crate::CostModel;
+use crate::cost::StageTable;
 use crate::{
     Assignment, Cluster, Device, ExecutionMode, Plan, PlanError, PlanRequest, Planner, Scheme,
     Stage,
@@ -62,34 +62,17 @@ struct HomoSolution {
     latency: f64,
 }
 
-/// Algorithm 1: memoized DP for the optimal homogeneous pipeline.
+/// Algorithm 1: DP for the optimal homogeneous pipeline over the
+/// priced stage table `ts` (`Ts[i][j][p]` on the averaged cluster).
 ///
 /// `dp[j][p]` is the best (period, latency) for units `[0, j)` using
 /// exactly `p` workers; the final answer minimizes over `p <= |D|`
 /// (PICO may idle devices). Candidates whose accumulated latency exceed
 /// `t_lim` are pruned, mirroring the paper's greedy pruning — the DP is
 /// a heuristic under a latency constraint, exact without one.
-fn homogeneous_dp(
-    cm: &CostModel<'_>,
-    avg: &Cluster,
-    t_lim: Option<f64>,
-) -> Result<HomoSolution, PlanError> {
-    let l = cm.model().len();
-    let d = avg.len();
-
-    // Ts[i][j][p]: cost of one stage covering units [i, j) on p workers.
-    // Flattened lazy cache.
-    let mut ts_cache: Vec<Option<f64>> = vec![None; l * (l + 1) * (d + 1)];
-    let idx = |i: usize, j: usize, p: usize| (i * (l + 1) + j) * (d + 1) + p;
-    let mut ts = |i: usize, j: usize, p: usize| -> f64 {
-        let k = idx(i, j, p);
-        if let Some(v) = ts_cache[k] {
-            return v;
-        }
-        let v = cm.even_stage_cost(Segment::new(i, j), avg, p).total();
-        ts_cache[k] = Some(v);
-        v
-    };
+fn homogeneous_dp(ts: &StageTable, t_lim: Option<f64>) -> Result<HomoSolution, PlanError> {
+    let l = ts.units();
+    let d = ts.devices();
 
     #[derive(Clone, Copy)]
     struct Cell {
@@ -112,7 +95,7 @@ fn homogeneous_dp(
     for j in 1..=l {
         for p in 1..=d {
             // Single stage covering everything so far.
-            let single = ts(0, j, p);
+            let single = ts.total(Segment::new(0, j), p);
             let mut best = Cell {
                 period: single,
                 latency: single,
@@ -125,7 +108,7 @@ fn homogeneous_dp(
                     if head.period.is_infinite() {
                         continue;
                     }
-                    let tail = ts(s, j, p_tail);
+                    let tail = ts.total(Segment::new(s, j), p_tail);
                     let period = head.period.max(tail);
                     let latency = head.latency + tail;
                     if let Some(lim) = t_lim {
@@ -341,15 +324,30 @@ impl Planner for PicoPlanner {
         let model = req.model();
         let cluster = req.cluster();
         let params = req.params();
-        let cm = params.cost_model(model);
-        let avg = cluster.averaged();
-        let homo = homogeneous_dp(&cm, &avg, params.t_lim)?;
-        debug_assert!(homo.period <= homo.latency + 1e-12);
-        let stages = adjust_stages(model, cluster, &homo);
-        let plan = Plan::new(Scheme::Pico, ExecutionMode::Pipelined, stages);
-        debug_assert!(plan.validate(model, cluster).is_ok());
-        req.admit(plan)
+        let ts = params
+            .cost_model(model)
+            .even_stage_table(&cluster.averaged());
+        req.admit(plan_over_table(model, cluster, &ts, params.t_lim)?)
     }
+}
+
+/// Algorithms 1 and 2 over an already-priced stage table — `ts` must be
+/// [`CostModel::even_stage_table`](crate::CostModel::even_stage_table)
+/// of `model` on `cluster.averaged()`. The table does not depend on
+/// `t_lim`, so a `T_lim` sweep ([`crate::pareto`]) prices it once and
+/// calls this per limit.
+pub(crate) fn plan_over_table(
+    model: &Model,
+    cluster: &Cluster,
+    ts: &StageTable,
+    t_lim: Option<f64>,
+) -> Result<Plan, PlanError> {
+    let homo = homogeneous_dp(ts, t_lim)?;
+    debug_assert!(homo.period <= homo.latency + 1e-12);
+    let stages = adjust_stages(model, cluster, &homo);
+    let plan = Plan::new(Scheme::Pico, ExecutionMode::Pipelined, stages);
+    debug_assert!(plan.validate(model, cluster).is_ok());
+    Ok(plan)
 }
 
 #[cfg(test)]

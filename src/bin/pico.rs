@@ -334,12 +334,12 @@ fn bench_command(rest: &[String]) -> Result<(), String> {
         report.suite, cfg.warmup, cfg.iters, cfg.runs
     );
     println!(
-        "{:<28} {:>12} {:>12} {:>8}",
+        "{:<36} {:>12} {:>12} {:>8}",
         "case", "median(ns)", "min(ns)", "GFLOP/s"
     );
     for r in &report.records {
         println!(
-            "{:<28} {:>12} {:>12} {:>8.2}",
+            "{:<36} {:>12} {:>12} {:>8.2}",
             r.name,
             r.median_ns,
             r.min_ns,
