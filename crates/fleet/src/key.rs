@@ -131,7 +131,6 @@ impl CacheKey {
         }
         h.write_u64(params.alpha_scale.to_bits());
         h.write_u64(params.backend_alpha.to_bits());
-        h.write_u64(params.interference.to_bits());
         CacheKey {
             model: ModelFingerprint::of(model),
             cluster: ClusterSignature::of(cluster),
@@ -232,8 +231,5 @@ mod tests {
         // Pricing a faster backend is a different plan space too.
         let vectorized = CostParams::new(50e6).with_backend_speedup(6.0);
         assert_ne!(base, CacheKey::new(&model, &cluster, &vectorized, band));
-        // And so is a co-resident (interference-stretched) deployment.
-        let shared = CostParams::new(50e6).with_interference(2.0);
-        assert_ne!(base, CacheKey::new(&model, &cluster, &shared, band));
     }
 }

@@ -16,10 +16,12 @@
 //!   signature × workload band) to built frontiers, with hit/miss/evict
 //!   telemetry and deterministic FIFO eviction;
 //! * [`FleetFrontier::kernel`] — the bridge to the re-planning
-//!   controller: the same `ReplanKernel` value drives `pico-serve`'s
-//!   live path, its deterministic replayer, and `pico-sim`'s
-//!   [`FleetSim`](pico_sim::FleetSim) mirror, so all three make
-//!   bit-identical switch decisions.
+//!   controller: the `ReplanKernel` is the switch source of the one
+//!   batch-server loop (`pico_sim::BatchServer`) that `pico-serve`'s
+//!   deterministic replayer and `pico-sim`'s
+//!   [`FleetSim`](pico_sim::FleetSim) mirror both run, and the live
+//!   server feeds the same value from its own event loop, so all three
+//!   make bit-identical switch decisions.
 //!
 //! # Example
 //!

@@ -30,15 +30,6 @@ pub struct CostParams {
     /// `pico bench kernels` prints the per-backend medians this is
     /// derived from; see EXPERIMENTS.md).
     pub backend_alpha: f64,
-    /// Co-residency stretch on compute times when several models share
-    /// the cluster (Eq. 5 becomes `t = interference · backend_alpha ·
-    /// alpha_scale · α · θ / ϑ`). `1.0` means the model runs alone;
-    /// [`crate::placement`] sets it to the co-resident model count when
-    /// models time-share the same devices, following the
-    /// interference-aware placement literature (arXiv 2210.12219).
-    /// Transfers are unaffected — contention is priced on the cores,
-    /// not the wire.
-    pub interference: f64,
 }
 
 impl CostParams {
@@ -57,7 +48,6 @@ impl CostParams {
             t_lim: None,
             alpha_scale: 1.0,
             backend_alpha: 1.0,
-            interference: 1.0,
         }
     }
 
@@ -87,21 +77,6 @@ impl CostParams {
             "backend speedup must be positive and finite"
         );
         self.backend_alpha = 1.0 / ratio;
-        self
-    }
-
-    /// Returns these parameters with a co-residency interference factor
-    /// (`>= 1`): compute times stretch by `factor`, transfers do not.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is not finite or is below `1.0`.
-    pub fn with_interference(mut self, factor: f64) -> Self {
-        assert!(
-            factor.is_finite() && factor >= 1.0,
-            "interference factor must be finite and >= 1"
-        );
-        self.interference = factor;
         self
     }
 
@@ -212,8 +187,7 @@ impl<'m> CostModel<'m> {
     /// segment `seg` (including halo redundancy), scaled by the
     /// calibrated compute coefficient.
     pub fn assignment_comp_time(&self, device: &Device, seg: Segment, rows: Rows) -> f64 {
-        self.params.interference
-            * self.params.backend_alpha
+        self.params.backend_alpha
             * self.params.alpha_scale
             * device.compute_time(self.model.segment_flops(seg, rows))
     }
@@ -244,8 +218,7 @@ impl<'m> CostModel<'m> {
 
     /// Eq. 5 for a rectangular tile (grid partitioning).
     pub fn region_comp_time(&self, device: &Device, seg: Segment, region: Region2) -> f64 {
-        self.params.interference
-            * self.params.backend_alpha
+        self.params.backend_alpha
             * self.params.alpha_scale
             * device.compute_time(self.model.segment_region_flops(seg, region))
     }
@@ -399,7 +372,7 @@ impl<'m> CostModel<'m> {
             "suffix pricing takes row strips only"
         );
         let out_shape = self.model.unit_output_shape(end - 1);
-        let scale = self.params.interference * self.params.backend_alpha * self.params.alpha_scale;
+        let scale = self.params.backend_alpha * self.params.alpha_scale;
         let workers: Vec<&Assignment> = shares.iter().filter(|a| !a.is_empty()).collect();
         // comp[w * end + i] / comm[w * end + i]: worker `w`'s Eq. 5 and
         // Eq. 7 times on segment [i, end).
@@ -750,40 +723,6 @@ mod tests {
             scaled.assignment_comm_time(seg, rows),
             base.assignment_comm_time(seg, rows)
         );
-    }
-
-    #[test]
-    fn interference_scales_comp_but_not_comm() {
-        let (m, c, p) = toy_setup();
-        assert_eq!(p.interference, 1.0);
-        let shared = p.with_interference(2.0);
-        let seg = m.full_segment();
-        let rows = Rows::full(m.output_shape().height);
-        let d = c.device(0).unwrap();
-        let base = p.cost_model(&m);
-        let scaled = shared.cost_model(&m);
-        assert!(
-            (scaled.assignment_comp_time(d, seg, rows)
-                - 2.0 * base.assignment_comp_time(d, seg, rows))
-            .abs()
-                < 1e-15
-        );
-        let region = Region2::new(rows, Rows::full(m.output_shape().width));
-        assert!(
-            (scaled.region_comp_time(d, seg, region) - 2.0 * base.region_comp_time(d, seg, region))
-                .abs()
-                < 1e-15
-        );
-        assert_eq!(
-            scaled.assignment_comm_time(seg, rows),
-            base.assignment_comm_time(seg, rows)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "interference factor")]
-    fn interference_below_one_is_rejected() {
-        let _ = CostParams::wifi_50mbps().with_interference(0.5);
     }
 
     #[test]

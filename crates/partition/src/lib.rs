@@ -50,7 +50,6 @@ mod layer_wise;
 pub mod memory;
 pub mod pareto;
 mod pico;
-pub mod placement;
 mod plan;
 mod planner;
 pub mod redundancy;

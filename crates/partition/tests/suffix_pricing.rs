@@ -112,11 +112,9 @@ fn suffix_costs_equal_per_segment_stage_costs_bit_for_bit() {
 
 #[test]
 fn suffix_costs_follow_every_cost_parameter() {
-    // A calibrated, co-resident, backend-priced environment: the
-    // compute coefficient composes in the same order on both paths.
-    let mut params = CostParams::new(17.5e6)
-        .with_backend_speedup(3.7)
-        .with_interference(2.0);
+    // A calibrated, backend-priced environment: the compute
+    // coefficient composes in the same order on both paths.
+    let mut params = CostParams::new(17.5e6).with_backend_speedup(3.7);
     params.alpha_scale = 0.31;
     let model = zoo::resnet34();
     let cluster = Cluster::paper_heterogeneous();

@@ -6,8 +6,8 @@ use pico_model::Model;
 use pico_partition::{Cluster, CostParams, Plan};
 use pico_runtime::PipelineRuntime;
 use pico_sim::{
-    AdaptiveBatcher, AdmissionLedger, ReplanKernel, ReplanPolicy, ReplanVerdict, ServiceProfile,
-    SwitchRecord, TenantServeStat,
+    BatchServer, ReplanKernel, ReplanPolicy, ServiceProfile, SwitchRecord, SwitchSource,
+    TenantServeStat,
 };
 use pico_telemetry::{names, Ctx, Recorder};
 use pico_tensor::{Engine, Tensor};
@@ -63,7 +63,7 @@ pub struct Rejection {
 }
 
 /// Everything a deterministic replay produced.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ReplayOutcome {
     /// Served tasks in completion order.
     pub completed: Vec<CompletedTask>,
@@ -110,9 +110,9 @@ impl ReplayOutcome {
 /// virtual time — so two replays of the same trace make bit-identical
 /// decisions and produce bit-identical outputs.
 ///
-/// Virtual time is priced by the plan's own cost model: a batch of `B`
-/// tasks occupies the server for `latency + (B − 1) · period` seconds
-/// ([`ServiceProfile::batch_time`]), mirroring `pico_sim::ServeSim`.
+/// The decisions are [`pico_sim::BatchServer`]'s, the same loop the
+/// simulation mirrors run; the replayer only supplies the executor
+/// (`ExecutionSession::submit`) and the audit gate at each switch.
 pub struct Replayer<'a> {
     model: &'a Model,
     cluster: &'a Cluster,
@@ -148,219 +148,36 @@ impl<'a> Replayer<'a> {
         self
     }
 
-    /// Replays `events` (sorted by time) starting under `plan0`.
+    /// Replays `events` (sorted by time) starting under `plan0`. A
+    /// scripted [`ServeEvent::Swap`] drains the pipeline at the first
+    /// batch boundary at or after its time, audits the switch pair, and
+    /// resumes under the new plan (or the old one, if refused).
     ///
     /// # Errors
     ///
     /// [`ServeError::InvalidConfig`] for a malformed config or an
-    /// unsorted/out-of-range trace, [`ServeError::Runtime`] if the
-    /// pipeline fails mid-replay.
+    /// unsorted, non-finite, or out-of-range trace,
+    /// [`ServeError::Runtime`] if the pipeline fails mid-replay.
     pub fn run(&self, plan0: &Plan, events: &[ServeEvent]) -> Result<ReplayOutcome, ServeError> {
         self.config.validated()?;
-        let tenants = self.config.tenants.len();
-        let mut arrivals: Vec<(f64, usize, &Tensor)> = Vec::new();
-        let mut swap_queue: VecDeque<(f64, &Plan)> = VecDeque::new();
-        let mut violations = Vec::new();
-        let mut last_t = f64::NEG_INFINITY;
-        for e in events {
-            let t = match e {
-                ServeEvent::Arrival { t, .. } | ServeEvent::Swap { t, .. } => *t,
-            };
-            if t < last_t {
-                violations.push(format!("trace is unsorted at t={t}"));
-            }
-            last_t = t;
-            match e {
-                ServeEvent::Arrival { t, tenant, input } => {
-                    if *tenant >= tenants {
-                        violations.push(format!("arrival for unknown tenant {tenant}"));
-                    }
-                    arrivals.push((*t, *tenant, input));
-                }
-                ServeEvent::Swap { t, plan } => swap_queue.push_back((*t, plan)),
-            }
-        }
-        if !violations.is_empty() {
-            return Err(ServeError::InvalidConfig { violations });
-        }
-
-        let auditor = Auditor::new(self.model, self.cluster).with_params(*self.params);
+        let (trace, mut swaps) = Trace::parse(events, self.config.tenants.len(), Vec::new())?;
         let cost = self.params.cost_model(self.model);
-        let rec = &self.recorder;
-
-        let mut ledger = AdmissionLedger::new(self.config.tenants.clone());
-        let mut batcher = AdaptiveBatcher::new(self.config.batch);
-        // Queues hold arrival indices; inputs are fetched from
-        // `arrivals` at batch-composition time.
-        let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); tenants];
-        let mut rr = 0usize;
-        let mut ai = 0usize; // next arrival index
-        let mut free_at = 0.0f64;
-        let mut current: Plan = plan0.clone();
-        let mut outcome = ReplayOutcome {
-            completed: Vec::new(),
-            rejections: Vec::new(),
-            batch_sizes: Vec::new(),
-            per_tenant: Vec::new(),
-            swaps: 0,
-            swap_rejections: Vec::new(),
-            epochs: 0,
-            makespan: 0.0,
-        };
-
-        enum Exit {
-            Done,
-            Swap,
-        }
-
+        let mut replay = Replay::new(self, &trace);
+        let mut current = plan0;
         loop {
-            outcome.epochs += 1;
-            let epoch_index = outcome.epochs - 1;
-            let metrics = cost.evaluate(&current, self.cluster);
+            let metrics = cost.evaluate(current, self.cluster);
             let profile = ServiceProfile {
                 latency: metrics.latency,
                 period: metrics.period,
             };
-            let mut epoch_completed = 0u64;
-            let exit = {
-                let runtime = PipelineRuntime::builder(self.model, &current, self.engine)
-                    .recorder(rec.clone())
-                    .build();
-                let (exit, _report) = runtime.session(|sess| {
-                    let admit = |at: usize,
-                                 ledger: &mut AdmissionLedger,
-                                 batcher: &mut AdaptiveBatcher,
-                                 queues: &mut [VecDeque<usize>],
-                                 outcome: &mut ReplayOutcome| {
-                        let (t, tenant, _input) = arrivals[at];
-                        match ledger.offer(tenant) {
-                            Ok(depth) => {
-                                queues[tenant].push_back(at);
-                                batcher.observe_arrival(t);
-                                rec.instant_at(
-                                    names::TASK_ADMITTED,
-                                    Ctx::tenant(tenant).for_task(at),
-                                    t,
-                                    depth as f64,
-                                );
-                            }
-                            Err(reason) => {
-                                rec.instant_at(
-                                    names::TASK_REJECTED,
-                                    Ctx::tenant(tenant).for_task(at),
-                                    t,
-                                    ledger.queued(tenant) as f64,
-                                );
-                                outcome.rejections.push(Rejection {
-                                    seq: at,
-                                    tenant,
-                                    error: ServeError::from_reject(tenant, reason),
-                                });
-                            }
-                        }
-                    };
-                    loop {
-                        if ledger.total_queued() == 0 {
-                            if ai >= arrivals.len() {
-                                return Ok(Exit::Done);
-                            }
-                            let t = arrivals[ai].0;
-                            if free_at < t {
-                                free_at = t;
-                            }
-                            admit(ai, &mut ledger, &mut batcher, &mut queues, &mut outcome);
-                            ai += 1;
-                            continue;
-                        }
-                        let start = free_at;
-                        // Arrivals landing while the previous batch was
-                        // in service queue up (and may be rejected)
-                        // before the next batch forms.
-                        while ai < arrivals.len() && arrivals[ai].0 <= start {
-                            admit(ai, &mut ledger, &mut batcher, &mut queues, &mut outcome);
-                            ai += 1;
-                        }
-                        if let Some((at, _)) = swap_queue.front() {
-                            if start >= *at {
-                                return Ok(Exit::Swap);
-                            }
-                        }
-                        let want = batcher.target().min(ledger.total_queued());
-                        let mut picks = vec![0usize; tenants];
-                        let mut order: Vec<(usize, usize)> = Vec::with_capacity(want);
-                        while order.len() < want {
-                            let tenant = rr % tenants;
-                            rr += 1;
-                            if ledger.queued(tenant) > picks[tenant] {
-                                picks[tenant] += 1;
-                                let seq = queues[tenant][picks[tenant] - 1];
-                                order.push((tenant, seq));
-                            }
-                        }
-                        for (tenant, n) in picks.iter().enumerate() {
-                            for _ in 0..*n {
-                                queues[tenant].pop_front();
-                            }
-                            if *n > 0 {
-                                ledger.take(tenant, *n);
-                            }
-                        }
-                        rec.observe_at(names::BATCH_FORMED, Ctx::default(), start, want as f64);
-                        let inputs: Vec<Tensor> = order
-                            .iter()
-                            .map(|&(_, seq)| arrivals[seq].2.clone())
-                            .collect();
-                        let outputs = sess.submit(&inputs)?;
-                        let done_at = start + profile.batch_time(want);
-                        for ((tenant, seq), output) in order.into_iter().zip(outputs) {
-                            ledger.complete(tenant, 1);
-                            outcome.completed.push(CompletedTask {
-                                seq,
-                                tenant,
-                                output,
-                                finished_at: done_at,
-                            });
-                        }
-                        outcome.batch_sizes.push(want);
-                        epoch_completed += want as u64;
-                        free_at = done_at;
-                        outcome.makespan = done_at;
-                    }
-                })?;
-                exit
+            let Some(next) = replay.epoch(current, profile, &mut swaps)? else {
+                break;
             };
-            match exit {
-                Exit::Done => break,
-                Exit::Swap => {
-                    let Some((at, next)) = swap_queue.pop_front() else {
-                        break;
-                    };
-                    let report = auditor.audit_switch_pair(&current, next);
-                    if report.is_executable() {
-                        rec.instant_at(
-                            names::SWAP_DRAINED,
-                            Ctx::stage(usize::try_from(epoch_index).unwrap_or(usize::MAX)),
-                            free_at.max(at),
-                            epoch_completed as f64,
-                        );
-                        current = next.clone();
-                        outcome.swaps += 1;
-                    } else {
-                        outcome
-                            .swap_rejections
-                            .extend(report.errors().map(|d| d.message.clone()));
-                    }
-                }
+            if replay.commit(current, next, None) {
+                current = next;
             }
         }
-        outcome.per_tenant = (0..tenants)
-            .map(|t| TenantServeStat {
-                admitted: ledger.admitted(t),
-                rejected: ledger.rejected(t),
-                completed: ledger.completed(t),
-            })
-            .collect();
-        Ok(outcome)
+        Ok(replay.finish())
     }
 
     /// Replays `events` (arrivals only, time-sorted) under the fleet's
@@ -380,7 +197,7 @@ impl<'a> Replayer<'a> {
     ///
     /// [`ServeError::InvalidConfig`] for a malformed config or policy,
     /// a scripted [`ServeEvent::Swap`] (the controller owns switching
-    /// here), or an unsorted/out-of-range trace;
+    /// here), or an unsorted, non-finite, or out-of-range trace;
     /// [`ServeError::Runtime`] if the pipeline fails mid-replay.
     pub fn run_adaptive(
         &self,
@@ -389,267 +206,296 @@ impl<'a> Replayer<'a> {
         events: &[ServeEvent],
     ) -> Result<(ReplayOutcome, Vec<SwitchRecord>), ServeError> {
         self.config.validated()?;
-        let tenants = self.config.tenants.len();
-        let mut arrivals: Vec<(f64, usize, &Tensor)> = Vec::new();
         let mut violations = policy.violations();
+        if events.iter().any(|e| matches!(e, ServeEvent::Swap { .. })) {
+            violations.push("scripted swap: adaptive replay switches plans itself".to_owned());
+        }
+        let (trace, _) = Trace::parse(events, self.config.tenants.len(), violations)?;
+        let mut kernel = frontier.kernel(frontier.cheapest(), policy);
+        let mut switches: Vec<SwitchRecord> = Vec::new();
+        let mut replay = Replay::new(self, &trace);
+        loop {
+            let entry = &frontier.entries()[kernel.current()];
+            let Some(record) = replay.epoch(&entry.plan, entry.profile(), &mut kernel)? else {
+                break;
+            };
+            let next = &frontier.entries()[record.to].plan;
+            // A refusal is unreachable while the kernel only proposes
+            // matrix-approved targets; the gate stays so a frontier/audit
+            // drift degrades to "no switch" instead of a wrong plan.
+            if replay.commit(&entry.plan, next, Some((&mut kernel, record.lambda))) {
+                switches.push(record);
+            }
+        }
+        Ok((replay.finish(), switches))
+    }
+}
+
+/// A validated trace's arrivals: what the batch-server loop consumes
+/// (times and tenants) and, index-aligned, the task inputs.
+struct Trace<'e> {
+    arrivals: Vec<(f64, usize)>,
+    inputs: Vec<&'e Tensor>,
+}
+
+/// Scripted swap requests, `(request time, target)` in trace order.
+type Swaps<'e> = VecDeque<(f64, &'e Plan)>;
+
+impl<'e> Trace<'e> {
+    /// The one trace validator: every event time finite and
+    /// non-decreasing, every tenant known. Splits the arrivals from the
+    /// scripted swaps; `violations` carries what the caller already
+    /// found wrong, reported together.
+    fn parse(
+        events: &'e [ServeEvent],
+        tenants: usize,
+        mut violations: Vec<String>,
+    ) -> Result<(Self, Swaps<'e>), ServeError> {
+        let mut trace = Trace {
+            arrivals: Vec::new(),
+            inputs: Vec::new(),
+        };
+        let mut swaps = VecDeque::new();
         let mut last_t = f64::NEG_INFINITY;
         for e in events {
+            let t = match e {
+                ServeEvent::Arrival { t, .. } | ServeEvent::Swap { t, .. } => *t,
+            };
+            if !t.is_finite() {
+                violations.push(format!("event time {t} is not finite"));
+            } else {
+                if t < last_t {
+                    violations.push(format!("trace is unsorted at t={t}"));
+                }
+                last_t = t;
+            }
             match e {
-                ServeEvent::Arrival { t, tenant, input } => {
-                    if *t < last_t {
-                        violations.push(format!("trace is unsorted at t={t}"));
-                    }
-                    last_t = *t;
+                ServeEvent::Arrival { tenant, input, .. } => {
                     if *tenant >= tenants {
                         violations.push(format!("arrival for unknown tenant {tenant}"));
                     }
-                    arrivals.push((*t, *tenant, input));
+                    trace.arrivals.push((t, *tenant));
+                    trace.inputs.push(input);
                 }
-                ServeEvent::Swap { t, .. } => {
-                    violations.push(format!(
-                        "scripted swap at t={t}: adaptive replay switches plans itself"
-                    ));
-                }
+                ServeEvent::Swap { plan, .. } => swaps.push_back((t, plan)),
             }
         }
-        if !violations.is_empty() {
-            return Err(ServeError::InvalidConfig { violations });
+        if violations.is_empty() {
+            Ok((trace, swaps))
+        } else {
+            Err(ServeError::InvalidConfig { violations })
         }
+    }
+}
 
-        let auditor = Auditor::new(self.model, self.cluster).with_params(*self.params);
-        let rec = &self.recorder;
+/// One replay in flight: the shared loop's state plus what only a
+/// replay collects (outputs, audit refusals, epoch counts).
+struct Replay<'r> {
+    replayer: &'r Replayer<'r>,
+    auditor: Auditor<'r>,
+    trace: &'r Trace<'r>,
+    server: BatchServer<'r>,
+    outcome: ReplayOutcome,
+    /// Tasks the current epoch has completed so far.
+    epoch_completed: u64,
+}
 
-        let mut kernel = frontier.kernel(frontier.cheapest(), policy);
-        let mut switches: Vec<SwitchRecord> = Vec::new();
-        // The verdict travels from the admit path (where the kernel
-        // decides) to the epoch boundary (where the audited swap
-        // commits) through this slot.
-        let mut pending_record: Option<SwitchRecord> = None;
+impl<'r> Replay<'r> {
+    fn new(replayer: &'r Replayer<'r>, trace: &'r Trace<'r>) -> Self {
+        let config = &replayer.config;
+        Replay {
+            replayer,
+            auditor: Auditor::new(replayer.model, replayer.cluster).with_params(*replayer.params),
+            trace,
+            server: BatchServer::new(config.batch, config.tenants.clone(), &trace.arrivals),
+            outcome: ReplayOutcome::default(),
+            epoch_completed: 0,
+        }
+    }
 
-        let mut ledger = AdmissionLedger::new(self.config.tenants.clone());
-        let mut batcher = AdaptiveBatcher::new(self.config.batch);
-        let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); tenants];
-        let mut rr = 0usize;
-        let mut ai = 0usize; // next arrival index
-        let mut free_at = 0.0f64;
-        let mut outcome = ReplayOutcome {
-            completed: Vec::new(),
-            rejections: Vec::new(),
-            batch_sizes: Vec::new(),
-            per_tenant: Vec::new(),
-            swaps: 0,
-            swap_rejections: Vec::new(),
-            epochs: 0,
-            makespan: 0.0,
+    /// Serves one epoch under `plan` on a fresh pipeline: the shared
+    /// loop decides, `ExecutionSession::submit` executes. Returns the
+    /// switch that ended the epoch, or `None` when the trace is served.
+    fn epoch<S: SwitchSource>(
+        &mut self,
+        plan: &Plan,
+        profile: ServiceProfile,
+        source: &mut S,
+    ) -> Result<Option<S::Switch>, ServeError> {
+        self.outcome.epochs += 1;
+        self.epoch_completed = 0;
+        let rec = &self.replayer.recorder;
+        let runtime = PipelineRuntime::builder(self.replayer.model, plan, self.replayer.engine)
+            .recorder(rec.clone())
+            .build();
+        let (server, inputs) = (&mut self.server, &self.trace.inputs);
+        let (completed, epoch_completed) = (&mut self.outcome.completed, &mut self.epoch_completed);
+        let (end, _report) = runtime.session(|sess| {
+            server.run_epoch(source, profile, rec, |tasks, finished_at| {
+                let batch: Vec<Tensor> =
+                    tasks.iter().map(|&(_, seq)| inputs[seq].clone()).collect();
+                let outputs = sess.submit(&batch)?;
+                for (&(tenant, seq), output) in tasks.iter().zip(outputs) {
+                    completed.push(CompletedTask {
+                        seq,
+                        tenant,
+                        output,
+                        finished_at,
+                    });
+                }
+                *epoch_completed += tasks.len() as u64;
+                Ok(())
+            })
+        })?;
+        Ok(end)
+    }
+
+    /// Puts the drained epoch's switch through the audit gate; `true`
+    /// when `next` was installed.
+    fn commit(
+        &mut self,
+        current: &Plan,
+        next: &Plan,
+        replan: Option<(&mut ReplanKernel, f64)>,
+    ) -> bool {
+        let drained = Drained {
+            epoch: self.outcome.epochs - 1,
+            at: self.server.free_at(),
+            completed: self.epoch_completed,
         };
-
-        enum Exit {
-            Done,
-            Replan,
-        }
-
-        loop {
-            outcome.epochs += 1;
-            let epoch_index = outcome.epochs - 1;
-            let (profile, current) = {
-                let entry = &frontier.entries()[kernel.current()];
-                (entry.profile(), entry.plan.clone())
-            };
-            let mut epoch_completed = 0u64;
-            let exit = {
-                let runtime = PipelineRuntime::builder(self.model, &current, self.engine)
-                    .recorder(rec.clone())
-                    .build();
-                let (exit, _report) = runtime.session(|sess| {
-                    let admit = |at: usize,
-                                 ledger: &mut AdmissionLedger,
-                                 batcher: &mut AdaptiveBatcher,
-                                 kernel: &mut ReplanKernel,
-                                 pending_record: &mut Option<SwitchRecord>,
-                                 queues: &mut [VecDeque<usize>],
-                                 outcome: &mut ReplayOutcome| {
-                        let (t, tenant, _input) = arrivals[at];
-                        match ledger.offer(tenant) {
-                            Ok(depth) => {
-                                queues[tenant].push_back(at);
-                                batcher.observe_arrival(t);
-                                match kernel.observe_arrival(t) {
-                                    ReplanVerdict::Switch {
-                                        from,
-                                        to,
-                                        lambda,
-                                        at: boundary,
-                                    } => {
-                                        *pending_record = Some(SwitchRecord {
-                                            at: boundary,
-                                            from,
-                                            to,
-                                            lambda,
-                                        });
-                                    }
-                                    ReplanVerdict::Suppressed { lambda, .. } => {
-                                        rec.instant_at(
-                                            names::REPLAN_SUPPRESSED,
-                                            Ctx::default(),
-                                            t,
-                                            lambda,
-                                        );
-                                    }
-                                    ReplanVerdict::Hold => {}
-                                }
-                                rec.instant_at(
-                                    names::TASK_ADMITTED,
-                                    Ctx::tenant(tenant).for_task(at),
-                                    t,
-                                    depth as f64,
-                                );
-                            }
-                            Err(reason) => {
-                                rec.instant_at(
-                                    names::TASK_REJECTED,
-                                    Ctx::tenant(tenant).for_task(at),
-                                    t,
-                                    ledger.queued(tenant) as f64,
-                                );
-                                outcome.rejections.push(Rejection {
-                                    seq: at,
-                                    tenant,
-                                    error: ServeError::from_reject(tenant, reason),
-                                });
-                            }
-                        }
-                    };
-                    loop {
-                        if ledger.total_queued() == 0 {
-                            if ai >= arrivals.len() {
-                                return Ok(Exit::Done);
-                            }
-                            let t = arrivals[ai].0;
-                            if free_at < t {
-                                free_at = t;
-                            }
-                            admit(
-                                ai,
-                                &mut ledger,
-                                &mut batcher,
-                                &mut kernel,
-                                &mut pending_record,
-                                &mut queues,
-                                &mut outcome,
-                            );
-                            ai += 1;
-                            continue;
-                        }
-                        let start = free_at;
-                        while ai < arrivals.len() && arrivals[ai].0 <= start {
-                            admit(
-                                ai,
-                                &mut ledger,
-                                &mut batcher,
-                                &mut kernel,
-                                &mut pending_record,
-                                &mut queues,
-                                &mut outcome,
-                            );
-                            ai += 1;
-                        }
-                        // The same checkpoint where `run` honors a
-                        // scripted swap — and where `FleetSim` commits —
-                        // so all controllers switch at identical points
-                        // of virtual time.
-                        if kernel.pending().is_some() {
-                            return Ok(Exit::Replan);
-                        }
-                        let want = batcher.target().min(ledger.total_queued());
-                        let mut picks = vec![0usize; tenants];
-                        let mut order: Vec<(usize, usize)> = Vec::with_capacity(want);
-                        while order.len() < want {
-                            let tenant = rr % tenants;
-                            rr += 1;
-                            if ledger.queued(tenant) > picks[tenant] {
-                                picks[tenant] += 1;
-                                let seq = queues[tenant][picks[tenant] - 1];
-                                order.push((tenant, seq));
-                            }
-                        }
-                        for (tenant, n) in picks.iter().enumerate() {
-                            for _ in 0..*n {
-                                queues[tenant].pop_front();
-                            }
-                            if *n > 0 {
-                                ledger.take(tenant, *n);
-                            }
-                        }
-                        rec.observe_at(names::BATCH_FORMED, Ctx::default(), start, want as f64);
-                        let inputs: Vec<Tensor> = order
-                            .iter()
-                            .map(|&(_, seq)| arrivals[seq].2.clone())
-                            .collect();
-                        let outputs = sess.submit(&inputs)?;
-                        let done_at = start + profile.batch_time(want);
-                        for ((tenant, seq), output) in order.into_iter().zip(outputs) {
-                            ledger.complete(tenant, 1);
-                            outcome.completed.push(CompletedTask {
-                                seq,
-                                tenant,
-                                output,
-                                finished_at: done_at,
-                            });
-                        }
-                        outcome.batch_sizes.push(want);
-                        epoch_completed += want as u64;
-                        free_at = done_at;
-                        outcome.makespan = done_at;
-                    }
-                })?;
-                exit
-            };
-            match exit {
-                Exit::Done => break,
-                Exit::Replan => {
-                    let to = kernel
-                        .pending()
-                        .expect("replan exit without pending switch");
-                    let record = pending_record
-                        .take()
-                        .expect("pending switch without its record");
-                    let report = auditor.audit_switch_pair(&current, &frontier.entries()[to].plan);
-                    if report.is_executable() {
-                        let to = kernel.committed();
-                        rec.instant_at(
-                            names::SWAP_DRAINED,
-                            Ctx::stage(usize::try_from(epoch_index).unwrap_or(usize::MAX)),
-                            free_at,
-                            epoch_completed as f64,
-                        );
-                        rec.instant_at(
-                            names::REPLAN_TRIGGERED,
-                            Ctx::stage(to),
-                            free_at,
-                            record.lambda,
-                        );
-                        switches.push(record);
-                        outcome.swaps += 1;
-                    } else {
-                        // Unreachable while the kernel only proposes
-                        // matrix-approved targets; kept as a guard so a
-                        // frontier/audit drift degrades to "no switch"
-                        // instead of a wrong plan.
-                        kernel.rejected();
-                        outcome
-                            .swap_rejections
-                            .extend(report.errors().map(|d| d.message.clone()));
-                    }
-                }
+        let rec = &self.replayer.recorder;
+        match commit_switch(&self.auditor, rec, current, next, replan, drained) {
+            Ok(()) => {
+                self.outcome.swaps += 1;
+                true
+            }
+            Err(errors) => {
+                self.outcome.swap_rejections.extend(errors);
+                false
             }
         }
-        outcome.per_tenant = (0..tenants)
-            .map(|t| TenantServeStat {
-                admitted: ledger.admitted(t),
-                rejected: ledger.rejected(t),
-                completed: ledger.completed(t),
+    }
+
+    fn finish(mut self) -> ReplayOutcome {
+        let rejections = self.server.rejections().iter();
+        self.outcome.rejections = rejections
+            .map(|&(seq, tenant, reason)| Rejection {
+                seq,
+                tenant,
+                error: ServeError::from_reject(tenant, reason),
             })
             .collect();
-        Ok((outcome, switches))
+        let report = self.server.into_report(self.outcome.swaps);
+        self.outcome.batch_sizes = report.batch_sizes;
+        self.outcome.per_tenant = report.per_tenant;
+        self.outcome.makespan = report.makespan;
+        self.outcome
+    }
+}
+
+/// The epoch a switch drains: its index, when it drained (virtual time
+/// in a replay, wall time live), and how many tasks it completed.
+pub(crate) struct Drained {
+    pub(crate) epoch: u64,
+    pub(crate) at: f64,
+    pub(crate) completed: u64,
+}
+
+/// The audit gate every plan switch passes at an epoch boundary,
+/// scripted or λ-driven, replayed or live: the pair is audited
+/// (PA305–PA307); on approval the kernel — when the switch was its
+/// decision, `replan` names it and the λ that drove it — is told
+/// `committed` and the drain is recorded; on refusal it is told
+/// `rejected` and the audit's error messages come back.
+pub(crate) fn commit_switch(
+    auditor: &Auditor<'_>,
+    rec: &Recorder,
+    current: &Plan,
+    next: &Plan,
+    replan: Option<(&mut ReplanKernel, f64)>,
+    drained: Drained,
+) -> Result<(), Vec<String>> {
+    let report = auditor.audit_switch_pair(current, next);
+    if !report.is_executable() {
+        if let Some((kernel, _)) = replan {
+            kernel.rejected();
+        }
+        return Err(report.errors().map(|d| d.message.clone()).collect());
+    }
+    let epoch = usize::try_from(drained.epoch).unwrap_or(usize::MAX);
+    let triggered = replan.map(|(kernel, lambda)| (kernel.committed(), lambda));
+    rec.instant_at(
+        names::SWAP_DRAINED,
+        Ctx::stage(epoch),
+        drained.at,
+        drained.completed as f64,
+    );
+    if let Some((to, lambda)) = triggered {
+        rec.instant_at(names::REPLAN_TRIGGERED, Ctx::stage(to), drained.at, lambda);
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{build_script, ReplayScript, ScriptSpec};
+    use pico_model::zoo;
+
+    /// A NaN compares false against everything, so a sortedness check
+    /// alone lets it through; both entry points must name it instead.
+    #[test]
+    fn non_finite_event_times_are_refused_by_both_entry_points() {
+        let model = zoo::toy(4);
+        let cluster = Cluster::pi_cluster(4, 1.0);
+        let params = CostParams::default();
+        let spec = ScriptSpec {
+            tasks: 6,
+            ..ScriptSpec::default()
+        };
+        let rp = build_script(&model, &cluster, &params, ReplayScript::Steady, &spec).unwrap();
+        let engine = Engine::with_seed(&model, 1);
+        let replayer = Replayer::new(&model, &cluster, &params, &engine, rp.config.clone());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut events = rp.events.clone();
+            if let ServeEvent::Arrival { t, .. } = &mut events[3] {
+                *t = bad;
+            }
+            let scripted = replayer.run(&rp.initial, &events).map(|_| ());
+            let adaptive = replayer
+                .run_adaptive(&rp.frontier, ReplanPolicy::default(), &events)
+                .map(|_| ());
+            for (entry, result) in [("run", scripted), ("run_adaptive", adaptive)] {
+                match result {
+                    Err(ServeError::InvalidConfig { violations }) => assert!(
+                        violations.iter().any(|v| v.contains("not finite")),
+                        "{entry}({bad}): {violations:?}"
+                    ),
+                    other => panic!("{entry}({bad}): expected InvalidConfig, got {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn adaptive_replay_refuses_a_scripted_swap() {
+        let model = zoo::toy(4);
+        let cluster = Cluster::pi_cluster(4, 1.0);
+        let params = CostParams::default();
+        let spec = ScriptSpec {
+            tasks: 6,
+            ..ScriptSpec::default()
+        }
+        .with_midtrace_swap();
+        let rp = build_script(&model, &cluster, &params, ReplayScript::Steady, &spec).unwrap();
+        let engine = Engine::with_seed(&model, 1);
+        let result = Replayer::new(&model, &cluster, &params, &engine, rp.config.clone())
+            .run_adaptive(&rp.frontier, ReplanPolicy::default(), &rp.events);
+        match result {
+            Err(ServeError::InvalidConfig { violations }) => {
+                assert!(violations.iter().any(|v| v.contains("scripted swap")));
+            }
+            other => panic!("expected InvalidConfig, got {:?}", other.map(|_| ())),
+        }
     }
 }

@@ -9,23 +9,31 @@
 //! work* — the APICO warm swap, gated by the static switch-pair audit
 //! (PA305–PA307).
 //!
-//! Two drivers share one policy kernel (`pico_sim::serve_policy`):
+//! Every serving decision lives in `pico_sim::serve_policy`; this crate
+//! adds the two ways to drive it against the real pipeline:
 //!
+//! * [`Replayer`] — the **deterministic** front-end: a scripted trace
+//!   runs through [`pico_sim::BatchServer`] — the one batch-server loop
+//!   the simulation mirrors also run — in virtual time (priced by the
+//!   plan's analytic cost model), with `ExecutionSession::submit` as
+//!   its executor, so every batch still executes on the real threaded
+//!   pipeline, outputs are bit-exact, and runs are reproducible.
 //! * [`ServeHandle`] — the **live** front-end: a server thread owns the
 //!   runtime; callers submit from any thread and get typed
 //!   backpressure ([`ServeError::QueueFull`] /
-//!   [`ServeError::TenantOverBudget`]) instead of blocking.
-//! * [`Replayer`] — the **deterministic** front-end: a scripted trace
-//!   runs in virtual time (priced by the plan's analytic cost model)
-//!   while every batch still executes on the real threaded pipeline,
-//!   so outputs are bit-exact and runs are reproducible.
+//!   [`ServeError::TenantOverBudget`]) instead of blocking. It is the
+//!   one path on wall time, so it keeps its own event loop (control
+//!   channel + flush tick) and takes batch composition, accounting and
+//!   re-planning verdicts from the same ledger and kernel methods the
+//!   loop uses.
 //!
-//! Both drivers can also run **adaptively**: armed with a cached
+//! Both can also run **adaptively**: armed with a cached
 //! [`FleetFrontier`] (see [`fleet_frontier`]), the
 //! [`pico_sim::ReplanKernel`] hysteresis controller watches the
 //! admitted-arrival λ estimate and switches plans through the same
-//! audit-gated warm-swap path — [`Replayer::run_adaptive`] in virtual
-//! time, [`ServeHandle::spawn_adaptive`] live.
+//! audit-gated commit at an epoch boundary —
+//! [`Replayer::run_adaptive`] in virtual time,
+//! [`ServeHandle::spawn_adaptive`] live.
 //!
 //! ```
 //! use pico_model::zoo;

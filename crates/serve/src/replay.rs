@@ -145,7 +145,9 @@ pub struct ReplayPlan {
 /// # Errors
 ///
 /// [`ServeError::Planning`] when the frontier cannot be built, or when
-/// a swap is requested and no audit-approved switch partner exists.
+/// a swap is requested and no audit-approved switch partner exists;
+/// [`ServeError::InvalidConfig`] when `spec.swap_at` names an arrival
+/// the trace does not have.
 pub fn build_script(
     model: &Model,
     cluster: &Cluster,
@@ -156,10 +158,18 @@ pub fn build_script(
     let frontier = fleet_frontier(model, cluster, params, &Recorder::noop())?;
     let initial_entry = &frontier.entries()[frontier.max_throughput()];
     let initial = initial_entry.plan.clone();
-    let fused = match spec.swap_at {
+    let mut swap = match spec.swap_at {
         None => None,
-        Some(_) => match frontier.swap_target(frontier.max_throughput()) {
-            Some(i) => Some(frontier.entries()[i].plan.clone()),
+        Some(k) if k >= spec.tasks => {
+            return Err(ServeError::InvalidConfig {
+                violations: vec![format!(
+                    "swap_at {k} is past the end of a {}-task trace",
+                    spec.tasks
+                )],
+            })
+        }
+        Some(k) => match frontier.swap_target(frontier.max_throughput()) {
+            Some(i) => Some((k, frontier.entries()[i].plan.clone())),
             None => {
                 return Err(ServeError::Planning {
                     detail: "no audit-approved swap partner on the frontier".to_owned(),
@@ -214,11 +224,8 @@ pub fn build_script(
     let mut t = 0.0f64;
     for k in 0..spec.tasks {
         t += gap(k);
-        if spec.swap_at == Some(k) {
-            events.push(ServeEvent::Swap {
-                t,
-                plan: fused.clone().expect("swap partner resolved above"),
-            });
+        if let Some((_, plan)) = swap.take_if(|(at, _)| *at == k) {
+            events.push(ServeEvent::Swap { t, plan });
         }
         events.push(ServeEvent::Arrival {
             t,
@@ -300,6 +307,36 @@ mod tests {
                 _ => panic!("event kinds diverge"),
             }
         }
+    }
+
+    #[test]
+    fn a_swap_past_the_end_of_the_trace_is_refused() {
+        let (m, c, p) = setup();
+        for swap_at in [12, 500] {
+            let spec = ScriptSpec {
+                tasks: 12,
+                swap_at: Some(swap_at),
+                ..ScriptSpec::default()
+            };
+            match build_script(&m, &c, &p, ReplayScript::Bursty, &spec) {
+                Err(ServeError::InvalidConfig { violations }) => {
+                    let msg = violations.join("; ");
+                    assert!(
+                        msg.contains(&swap_at.to_string()) && msg.contains("12"),
+                        "{msg}"
+                    );
+                }
+                other => panic!("swap_at {swap_at}: expected InvalidConfig, got {other:?}"),
+            }
+        }
+        // The last arrival is still a legal swap point.
+        let spec = ScriptSpec {
+            tasks: 12,
+            swap_at: Some(11),
+            ..ScriptSpec::default()
+        };
+        let rp = build_script(&m, &c, &p, ReplayScript::Bursty, &spec).unwrap();
+        assert_eq!(rp.events.len(), 13);
     }
 
     #[test]

@@ -9,10 +9,11 @@ use pico_fleet::FleetFrontier;
 use pico_model::Model;
 use pico_partition::{Cluster, CostParams, Plan};
 use pico_runtime::{ExecutionSession, PipelineRuntime, RuntimeError};
-use pico_sim::TenantServeStat;
-use pico_telemetry::{clock, names, Ctx};
+use pico_sim::{ReplanKernel, SwitchRecord, TenantServeStat};
+use pico_telemetry::{names, Ctx};
 use pico_tensor::{Engine, Tensor};
 
+use crate::front::{commit_switch, Drained};
 use crate::state::{QueuedTask, ServeState};
 use crate::{ServeError, ServeRequest};
 
@@ -29,9 +30,9 @@ enum Ctrl {
 enum EpochExit {
     Close,
     Swap(Plan, Sender<Result<(), ServeError>>),
-    /// The re-planning kernel wants a switch: the epoch has drained and
-    /// the audited swap happens at the epoch boundary.
-    Replan,
+    /// The re-planning kernel wants this switch: the epoch has drained
+    /// and the audited swap happens at the epoch boundary.
+    Replan(SwitchRecord),
 }
 
 /// Final accounting returned by [`ServeHandle::shutdown`].
@@ -91,35 +92,7 @@ impl ServeHandle {
         request: &ServeRequest,
     ) -> Result<ServeHandle, ServeError> {
         request.config().validated()?;
-        let state = Arc::new(ServeState::new(
-            request.config(),
-            request.recorder().clone(),
-            clock::wall_now(),
-            None,
-        ));
-        // Depth 2: one pending nudge plus room for a control message.
-        let (ctrl_tx, ctrl_rx) = bounded(2);
-        let thread_state = Arc::clone(&state);
-        let seed = request.engine_seed();
-        let tick = request.flush_interval();
-        let thread = std::thread::spawn(move || {
-            run_server(
-                model,
-                cluster,
-                params,
-                plan,
-                None,
-                seed,
-                tick,
-                thread_state,
-                ctrl_rx,
-            )
-        });
-        Ok(ServeHandle {
-            state,
-            ctrl: ctrl_tx,
-            thread: Some(thread),
-        })
+        Ok(Self::spawn_on(model, cluster, params, plan, None, request))
     }
 
     /// Spawns a *self-re-planning* server over the fleet frontier armed
@@ -155,37 +128,46 @@ impl ServeHandle {
             return Err(ServeError::InvalidConfig { violations });
         }
         let initial = frontier.cheapest();
-        let kernel = frontier.kernel(initial, *policy);
         let plan = frontier.entries()[initial].plan.clone();
-        let state = Arc::new(ServeState::new(
-            request.config(),
-            request.recorder().clone(),
-            clock::wall_now(),
-            Some(kernel),
-        ));
+        let adaptive = Some((frontier.kernel(initial, *policy), Arc::clone(frontier)));
+        Ok(Self::spawn_on(
+            model, cluster, params, plan, adaptive, request,
+        ))
+    }
+
+    /// The one spawn body: a fixed-plan server, or — given the kernel
+    /// and the frontier it indexes — a self-re-planning one.
+    fn spawn_on(
+        model: Model,
+        cluster: Cluster,
+        params: CostParams,
+        plan: Plan,
+        adaptive: Option<(ReplanKernel, Arc<FleetFrontier>)>,
+        request: &ServeRequest,
+    ) -> ServeHandle {
+        let state = Arc::new(ServeState::new(request, adaptive));
+        // Depth 2: one pending nudge plus room for a control message.
         let (ctrl_tx, ctrl_rx) = bounded(2);
         let thread_state = Arc::clone(&state);
         let seed = request.engine_seed();
         let tick = request.flush_interval();
-        let fleet = Arc::clone(frontier);
         let thread = std::thread::spawn(move || {
             run_server(
                 model,
                 cluster,
                 params,
                 plan,
-                Some(fleet),
                 seed,
                 tick,
                 thread_state,
                 ctrl_rx,
             )
         });
-        Ok(ServeHandle {
+        ServeHandle {
             state,
             ctrl: ctrl_tx,
             thread: Some(thread),
-        })
+        }
     }
 
     /// Offers one task for `tenant`. Admission is decided immediately:
@@ -246,8 +228,7 @@ fn run_server(
     model: Model,
     cluster: Cluster,
     params: CostParams,
-    plan0: Plan,
-    fleet: Option<Arc<FleetFrontier>>,
+    mut plan: Plan,
     engine_seed: u64,
     tick: Duration,
     state: Arc<ServeState>,
@@ -255,38 +236,30 @@ fn run_server(
 ) -> Result<ServeOutcome, ServeError> {
     let engine = Engine::with_seed(&model, engine_seed);
     let auditor = Auditor::new(&model, &cluster).with_params(params);
-    let mut plan = plan0;
     let mut epochs = 0u64;
     let mut swaps = 0u64;
     let mut batches = 0u64;
     loop {
-        let epoch_index = epochs;
         epochs += 1;
         let mut epoch_completed = 0u64;
         let runtime = PipelineRuntime::builder(&model, &plan, &engine)
             .recorder(state.rec.clone())
             .build();
         let session = runtime.session(|sess| loop {
-            match ctrl.recv_timeout(tick) {
-                Ok(Ctrl::Swap(next, reply)) => {
-                    pump(sess, &state, &mut batches, &mut epoch_completed, true)?;
-                    return Ok(EpochExit::Swap(next, reply));
-                }
+            let msg = ctrl.recv_timeout(tick);
+            // A nudge batches only once the backlog reaches the adaptive
+            // target; the flush tick and every exit drain it.
+            let force = !matches!(msg, Ok(Ctrl::Nudge));
+            pump(sess, &state, &mut batches, &mut epoch_completed, force)?;
+            match msg {
+                Ok(Ctrl::Swap(next, reply)) => return Ok(EpochExit::Swap(next, reply)),
                 Ok(Ctrl::Close) | Err(RecvTimeoutError::Disconnected) => {
-                    pump(sess, &state, &mut batches, &mut epoch_completed, true)?;
-                    return Ok(EpochExit::Close);
+                    return Ok(EpochExit::Close)
                 }
-                Ok(Ctrl::Nudge) => {
-                    pump(sess, &state, &mut batches, &mut epoch_completed, false)?;
-                    if state.replan_pending() {
+                Ok(Ctrl::Nudge) | Err(RecvTimeoutError::Timeout) => {
+                    if let Some(record) = state.replan_due() {
                         pump(sess, &state, &mut batches, &mut epoch_completed, true)?;
-                        return Ok(EpochExit::Replan);
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    pump(sess, &state, &mut batches, &mut epoch_completed, true)?;
-                    if state.replan_pending() {
-                        return Ok(EpochExit::Replan);
+                        return Ok(EpochExit::Replan(record));
                     }
                 }
             }
@@ -299,70 +272,39 @@ fn run_server(
                 return Err(e.into());
             }
         };
+        let drained = Drained {
+            epoch: epochs - 1,
+            at: state.now(),
+            completed: epoch_completed,
+        };
         match exit {
             EpochExit::Close => break,
             EpochExit::Swap(next, reply) => {
-                let report = auditor.audit_switch_pair(&plan, &next);
-                if report.is_executable() {
-                    state.rec.instant_at(
-                        names::SWAP_DRAINED,
-                        Ctx::stage(usize::try_from(epoch_index).unwrap_or(usize::MAX)),
-                        state.now(),
-                        epoch_completed as f64,
-                    );
+                let verdict = commit_switch(&auditor, &state.rec, &plan, &next, None, drained);
+                if verdict.is_ok() {
                     plan = next;
                     swaps += 1;
-                    let _ = reply.send(Ok(()));
-                } else {
-                    let errors = report.errors().map(|d| d.message.clone()).collect();
-                    let _ = reply.send(Err(ServeError::SwapRejected { errors }));
                 }
+                let _ = reply.send(verdict.map_err(|errors| ServeError::SwapRejected { errors }));
             }
-            EpochExit::Replan => {
-                let (Some(fleet), Some(replan)) = (fleet.as_ref(), state.replan.as_ref()) else {
-                    // A replan exit without a fleet cannot happen; keep
-                    // serving on the current plan if it somehow does.
+            EpochExit::Replan(record) => {
+                // Only an armed server takes this exit.
+                let Some((kernel, fleet)) = &state.replan else {
                     continue;
                 };
-                let mut ctl = replan.lock();
-                let Some(to) = ctl.kernel.pending() else {
-                    continue;
-                };
-                let next = fleet.entries()[to].plan.clone();
-                let report = auditor.audit_switch_pair(&plan, &next);
-                if report.is_executable() {
-                    let to = ctl.kernel.committed();
-                    let lambda = ctl.record.take().map_or(f64::NAN, |r| r.lambda);
-                    drop(ctl);
-                    let now = state.now();
-                    state.rec.instant_at(
-                        names::SWAP_DRAINED,
-                        Ctx::stage(usize::try_from(epoch_index).unwrap_or(usize::MAX)),
-                        now,
-                        epoch_completed as f64,
-                    );
-                    state
-                        .rec
-                        .instant_at(names::REPLAN_TRIGGERED, Ctx::stage(to), now, lambda);
-                    plan = next;
+                let mut kernel = kernel.lock();
+                let next = &fleet.entries()[record.to].plan;
+                let replan = Some((&mut *kernel, record.lambda));
+                // A refusal is unreachable while the kernel only proposes
+                // matrix-approved targets; it degrades to "no switch".
+                if commit_switch(&auditor, &state.rec, &plan, next, replan, drained).is_ok() {
+                    plan = next.clone();
                     swaps += 1;
-                } else {
-                    // Unreachable while the kernel only proposes
-                    // matrix-approved targets; degrade to "no switch".
-                    ctl.kernel.rejected();
-                    ctl.record = None;
                 }
             }
         }
     }
-    let ledger = state.ledger.lock();
-    let per_tenant = (0..ledger.tenants())
-        .map(|t| TenantServeStat {
-            admitted: ledger.admitted(t),
-            rejected: ledger.rejected(t),
-            completed: ledger.completed(t),
-        })
-        .collect();
+    let per_tenant = state.ledger.lock().stats();
     Ok(ServeOutcome {
         per_tenant,
         batches,
@@ -388,25 +330,9 @@ fn pump(
         if total == 0 || (!force && total < target) {
             return Ok(());
         }
-        let want = target.min(total);
-        // Round-robin composition across tenants, resuming where the
-        // previous batch left off so no tenant is starved.
-        let tenants = ledger.tenants();
-        let mut cursor = state.rr.load(Ordering::Relaxed);
-        let mut picks = vec![0usize; tenants];
-        let mut order = Vec::with_capacity(want);
-        while order.len() < want {
-            let t = cursor % tenants;
-            cursor += 1;
-            if ledger.queued(t) > picks[t] {
-                picks[t] += 1;
-                order.push(t);
-            }
-        }
-        state.rr.store(cursor, Ordering::Relaxed);
-        let mut tasks: Vec<(usize, QueuedTask)> = Vec::with_capacity(want);
-        for &t in &order {
-            ledger.take(t, 1);
+        let order = ledger.compose(target);
+        let mut tasks: Vec<(usize, QueuedTask)> = Vec::with_capacity(order.len());
+        for t in order {
             let Some(task) = state.queues[t].lock().pop_front() else {
                 // Unreachable while admit holds the ledger lock across
                 // its queue push; recover by undoing the claim.

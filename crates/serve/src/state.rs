@@ -1,30 +1,22 @@
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
-use pico_sim::{AdaptiveBatcher, AdmissionLedger, ReplanKernel, ReplanVerdict, SwitchRecord};
-use pico_telemetry::{names, Ctx, Recorder};
+use pico_fleet::FleetFrontier;
+use pico_sim::{AdaptiveBatcher, AdmissionLedger, ReplanKernel, SwitchRecord, SwitchSource};
+use pico_telemetry::{clock, names, Ctx, Recorder};
 use pico_tensor::Tensor;
 
-use crate::{ServeConfig, ServeError};
+use crate::{ServeError, ServeRequest};
 
 /// One admitted task waiting in a tenant queue: its input and the
 /// channel its output (or failure) is delivered on.
 pub(crate) struct QueuedTask {
     pub(crate) input: Tensor,
     pub(crate) reply: Sender<Result<Tensor, ServeError>>,
-}
-
-/// Live re-planning state: the shared hysteresis kernel plus the
-/// record of the switch it currently wants committed. Callers feed the
-/// kernel on their own thread (inside [`ServeState::admit`]); the
-/// server thread consumes the pending decision at its next drain
-/// point.
-pub(crate) struct ReplanControl {
-    pub(crate) kernel: ReplanKernel,
-    pub(crate) record: Option<SwitchRecord>,
 }
 
 /// Intake state shared (via `Arc`) between every [`crate::ServeHandle`]
@@ -36,19 +28,21 @@ pub struct ServeState {
     pub(crate) batcher: Mutex<AdaptiveBatcher>,
     pub(crate) queues: Vec<Mutex<VecDeque<QueuedTask>>>,
     pub(crate) open: AtomicBool,
-    pub(crate) rr: AtomicUsize,
     pub(crate) rec: Recorder,
     pub(crate) started: Instant,
-    pub(crate) replan: Option<Mutex<ReplanControl>>,
+    /// Live re-planning: callers feed the shared hysteresis kernel on
+    /// their own thread (inside [`ServeState::admit`]); the server
+    /// thread commits the decision it stages at its next drain point,
+    /// installing the plan of the frontier entry the kernel indexes.
+    pub(crate) replan: Option<(Mutex<ReplanKernel>, Arc<FleetFrontier>)>,
 }
 
 impl ServeState {
     pub(crate) fn new(
-        config: &ServeConfig,
-        rec: Recorder,
-        started: Instant,
-        kernel: Option<ReplanKernel>,
+        request: &ServeRequest,
+        adaptive: Option<(ReplanKernel, Arc<FleetFrontier>)>,
     ) -> Self {
+        let config = request.config();
         let queues = config
             .tenants
             .iter()
@@ -59,24 +53,17 @@ impl ServeState {
             batcher: Mutex::new(AdaptiveBatcher::new(config.batch)),
             queues,
             open: AtomicBool::new(true),
-            rr: AtomicUsize::new(0),
-            rec,
-            started,
-            replan: kernel.map(|kernel| {
-                Mutex::new(ReplanControl {
-                    kernel,
-                    record: None,
-                })
-            }),
+            rec: request.recorder().clone(),
+            started: clock::wall_now(),
+            replan: adaptive.map(|(kernel, fleet)| (Mutex::new(kernel), fleet)),
         }
     }
 
-    /// Whether the kernel holds a switch decision the server thread has
-    /// not yet committed or rejected.
-    pub(crate) fn replan_pending(&self) -> bool {
-        self.replan
-            .as_ref()
-            .is_some_and(|r| r.lock().kernel.pending().is_some())
+    /// The switch decision the kernel holds that the server thread has
+    /// not yet committed or rejected, if any.
+    pub(crate) fn replan_due(&self) -> Option<SwitchRecord> {
+        let (kernel, _) = self.replan.as_ref()?;
+        kernel.lock().due(self.now())
     }
 
     /// Seconds since the front-end started — the telemetry timebase.
@@ -111,32 +98,8 @@ impl ServeState {
                     .push_back(QueuedTask { input, reply: tx });
                 drop(ledger);
                 self.batcher.lock().observe_arrival(t);
-                if let Some(replan) = &self.replan {
-                    let mut ctl = replan.lock();
-                    match ctl.kernel.observe_arrival(t) {
-                        ReplanVerdict::Switch {
-                            from,
-                            to,
-                            lambda,
-                            at,
-                        } => {
-                            ctl.record = Some(SwitchRecord {
-                                at,
-                                from,
-                                to,
-                                lambda,
-                            });
-                        }
-                        ReplanVerdict::Suppressed { lambda, .. } => {
-                            self.rec.instant_at(
-                                names::REPLAN_SUPPRESSED,
-                                Ctx::default(),
-                                t,
-                                lambda,
-                            );
-                        }
-                        ReplanVerdict::Hold => {}
-                    }
+                if let Some((kernel, _)) = &self.replan {
+                    kernel.lock().admitted(t, &self.rec);
                 }
                 self.rec
                     .instant_at(names::TASK_ADMITTED, Ctx::tenant(tenant), t, depth as f64);

@@ -18,13 +18,15 @@
 //!   shared Eq. 15 workload trackers (one module, every consumer);
 //! * [`AdaptiveScheduler`] — APICO's scheme switching (Sec. IV-C);
 //! * [`ReplanKernel`] / [`FleetSim`] — the fleet re-planning hysteresis
-//!   kernel and its discrete-event mirror (shared bit-for-bit with the
-//!   live `pico-serve` controller);
+//!   kernel (shared bit-for-bit with the live `pico-serve` controller)
+//!   and the batch-server loop run with it as switch source;
 //! * [`workload`] — phase/burst/diurnal arrival generators for the
 //!   "dynamic workload" scenarios that motivate APICO;
 //! * [`serve_policy`] — admission control and adaptive micro-batching
-//!   shared with the `pico-serve` front-end, plus [`ServeSim`], its
-//!   deterministic batch-server mirror.
+//!   shared with the `pico-serve` front-end, plus [`BatchServer`], the
+//!   one batch-server loop (generic over how a batch executes and where
+//!   switches come from) that [`ServeSim`], [`FleetSim`] and
+//!   `pico-serve`'s replayer all run.
 //!
 //! # Example
 //!
@@ -69,6 +71,6 @@ pub use replan::{
     FleetSim, ReplanCandidate, ReplanKernel, ReplanPolicy, ReplanVerdict, SwitchRecord,
 };
 pub use serve_policy::{
-    AdaptiveBatcher, AdmissionLedger, BatchPolicy, RejectReason, ServeSim, ServeSimReport,
-    ServiceProfile, TenantPolicy, TenantServeStat,
+    AdaptiveBatcher, AdmissionLedger, BatchPolicy, BatchServer, RejectReason, ServeSim,
+    ServeSimReport, ServiceProfile, SwitchSource, TenantPolicy, TenantServeStat,
 };

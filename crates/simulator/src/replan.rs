@@ -8,9 +8,11 @@
 //! * [`ReplanKernel`] — the hysteresis state machine. The *same* kernel
 //!   value drives the live `pico-serve` controller, the deterministic
 //!   replayer, and [`FleetSim`], so all three produce bit-identical
-//!   switch schedules from the same admitted-arrival sequence.
-//! * [`FleetSim`] — a [`ServeSim`]-shaped batch-server simulation with
-//!   the kernel wired in, for exploring controller behavior in virtual
+//!   switch schedules from the same admitted-arrival sequence. It is a
+//!   [`SwitchSource`], which is how the shared
+//!   [`BatchServer`] loop consults it.
+//! * [`FleetSim`] — that loop with price-only execution and the kernel
+//!   as its switch source, for exploring controller behavior in virtual
 //!   time without touching an engine.
 //!
 //! The kernel deliberately knows nothing about plans or audits: it sees
@@ -20,11 +22,11 @@
 //! switch-pair audits, which is how the simulator mirror reproduces the
 //! audit gate's verdicts without depending on the audit crate.
 
-use std::collections::VecDeque;
+use pico_telemetry::{names, Ctx, Recorder};
 
 use crate::serve_policy::{
-    AdaptiveBatcher, AdmissionLedger, BatchPolicy, ServeSimReport, ServiceProfile, TenantPolicy,
-    TenantServeStat,
+    price_only, BatchPolicy, BatchServer, ServeSim, ServeSimReport, ServiceProfile, SwitchSource,
+    TenantPolicy,
 };
 use crate::{InterArrivalEstimator, WorkloadBand};
 
@@ -154,7 +156,7 @@ pub struct ReplanKernel {
     estimator: InterArrivalEstimator,
     strikes: usize,
     next_window: f64,
-    pending: Option<usize>,
+    pending: Option<SwitchRecord>,
 }
 
 impl ReplanKernel {
@@ -217,7 +219,7 @@ impl ReplanKernel {
     /// The switch decision awaiting [`committed`](Self::committed) /
     /// [`rejected`](Self::rejected), if any.
     pub fn pending(&self) -> Option<usize> {
-        self.pending
+        self.pending.map(|record| record.to)
     }
 
     /// The current λ estimate (`None` before two admitted arrivals).
@@ -301,13 +303,7 @@ impl ReplanKernel {
                 verdict = ReplanVerdict::Hold;
                 continue;
             }
-            self.pending = Some(to);
-            verdict = ReplanVerdict::Switch {
-                from: self.current,
-                to,
-                lambda,
-                at,
-            };
+            verdict = self.stage(to, lambda, at);
             break;
         }
         verdict
@@ -335,11 +331,22 @@ impl ReplanKernel {
             return ReplanVerdict::Hold;
         }
         self.strikes = 0;
-        self.pending = Some(to);
-        ReplanVerdict::Switch {
-            from: self.current,
+        self.stage(to, self.estimator.lambda().unwrap_or(0.0), at)
+    }
+
+    /// Goes pending on a switch to `to` and returns its verdict.
+    fn stage(&mut self, to: usize, lambda: f64, at: f64) -> ReplanVerdict {
+        let from = self.current;
+        self.pending = Some(SwitchRecord {
+            at,
+            from,
             to,
-            lambda: self.estimator.lambda().unwrap_or(0.0),
+            lambda,
+        });
+        ReplanVerdict::Switch {
+            from,
+            to,
+            lambda,
             at,
         }
     }
@@ -351,7 +358,7 @@ impl ReplanKernel {
     ///
     /// Panics when no switch is pending.
     pub fn committed(&mut self) -> usize {
-        let to = self.pending.take().expect("no switch pending");
+        let to = self.pending.take().expect("no switch pending").to;
         self.current = to;
         self.strikes = 0;
         to
@@ -366,19 +373,37 @@ impl ReplanKernel {
     }
 }
 
+/// The kernel as the batch-server loop's switch source: every admitted
+/// arrival feeds the hysteresis rule, and a staged decision is due at
+/// each batch boundary until the caller reports it
+/// [`committed`](ReplanKernel::committed) or
+/// [`rejected`](ReplanKernel::rejected). The live front-end calls the
+/// same two methods from its own event loop.
+impl SwitchSource for ReplanKernel {
+    type Switch = SwitchRecord;
+
+    fn admitted(&mut self, t: f64, rec: &Recorder) {
+        // A switch verdict stays staged in the kernel until it is due.
+        if let ReplanVerdict::Suppressed { lambda, .. } = self.observe_arrival(t) {
+            rec.instant_at(names::REPLAN_SUPPRESSED, Ctx::default(), t, lambda);
+        }
+    }
+
+    fn due(&mut self, _start: f64) -> Option<SwitchRecord> {
+        self.pending
+    }
+}
+
 /// Deterministic discrete-event mirror of the *adaptive* serving
-/// front-end: [`ServeSim`](crate::ServeSim)'s batch-server loop with a
-/// [`ReplanKernel`] wired into admission, switching service pricing at
+/// front-end: the [`BatchServer`] loop with price-only execution and a
+/// [`ReplanKernel`] as its switch source, so pricing switches at
 /// exactly the checkpoints where the live path drains and warm-swaps.
 ///
 /// Given the same admitted-arrival sequence and the same kernel value,
 /// this mirror and the live/replay controllers produce identical
 /// [`SwitchRecord`] schedules in virtual time.
 #[derive(Debug, Clone)]
-pub struct FleetSim {
-    batch: BatchPolicy,
-    tenants: Vec<TenantPolicy>,
-}
+pub struct FleetSim(ServeSim);
 
 impl FleetSim {
     /// Creates a mirror over the given serving policies.
@@ -387,10 +412,7 @@ impl FleetSim {
     ///
     /// Panics when any policy has violations or `tenants` is empty.
     pub fn new(batch: BatchPolicy, tenants: Vec<TenantPolicy>) -> Self {
-        let violations = batch.violations();
-        assert!(violations.is_empty(), "invalid BatchPolicy: {violations:?}");
-        let _ = AdmissionLedger::new(tenants.clone());
-        FleetSim { batch, tenants }
+        FleetSim(ServeSim::new(batch, tenants))
     }
 
     /// Runs the mirror over `arrivals` — `(time, tenant)` pairs sorted
@@ -402,149 +424,26 @@ impl FleetSim {
     ///
     /// # Panics
     ///
-    /// Panics if `arrivals` is unsorted or names an unknown tenant.
+    /// Panics if `arrivals` is unsorted, holds a non-finite time, or
+    /// names an unknown tenant.
     pub fn run(
         &self,
         arrivals: &[(f64, usize)],
         mut kernel: ReplanKernel,
     ) -> (ServeSimReport, Vec<SwitchRecord>) {
-        assert!(
-            arrivals.windows(2).all(|w| w[0].0 <= w[1].0),
-            "arrivals must be sorted by time"
-        );
-        let mut ledger = AdmissionLedger::new(self.tenants.clone());
-        let mut batcher = AdaptiveBatcher::new(self.batch);
-        let mut queues: Vec<VecDeque<f64>> = vec![VecDeque::new(); self.tenants.len()];
-        let mut rr_next = 0usize;
-
-        let mut i = 0usize;
-        let mut free_at = 0.0f64;
-        let mut active = kernel.candidates()[kernel.current()].profile;
-        let mut swaps = 0u64;
+        let mut server = BatchServer::new(self.0.batch, self.0.tenants.clone(), arrivals);
         let mut switches: Vec<SwitchRecord> = Vec::new();
-        let mut batch_sizes = Vec::new();
-        let mut sojourn_sum = 0.0f64;
-        let mut sojourn_count = 0u64;
-        let mut makespan = 0.0f64;
-
-        let admit = |t: f64,
-                     tenant: usize,
-                     ledger: &mut AdmissionLedger,
-                     batcher: &mut AdaptiveBatcher,
-                     kernel: &mut ReplanKernel,
-                     switches: &mut Vec<SwitchRecord>,
-                     queues: &mut Vec<VecDeque<f64>>| {
-            if ledger.offer(tenant).is_ok() {
-                queues[tenant].push_back(t);
-                batcher.observe_arrival(t);
-                if let ReplanVerdict::Switch {
-                    from,
-                    to,
-                    lambda,
-                    at,
-                } = kernel.observe_arrival(t)
-                {
-                    switches.push(SwitchRecord {
-                        at,
-                        from,
-                        to,
-                        lambda,
-                    });
-                }
-            }
-        };
-
-        while i < arrivals.len() || ledger.total_queued() > 0 {
-            if ledger.total_queued() == 0 {
-                let (t, tenant) = arrivals[i];
-                i += 1;
-                if free_at < t {
-                    free_at = t;
-                }
-                admit(
-                    t,
-                    tenant,
-                    &mut ledger,
-                    &mut batcher,
-                    &mut kernel,
-                    &mut switches,
-                    &mut queues,
-                );
-                continue;
-            }
-            let start = free_at;
-            while i < arrivals.len() && arrivals[i].0 <= start {
-                let (t, tenant) = arrivals[i];
-                i += 1;
-                admit(
-                    t,
-                    tenant,
-                    &mut ledger,
-                    &mut batcher,
-                    &mut kernel,
-                    &mut switches,
-                    &mut queues,
-                );
-            }
-            // The batch-formation checkpoint: the same place the live
-            // path drains the in-service batch and installs the audited
-            // next plan.
-            if kernel.pending().is_some() {
-                let to = kernel.committed();
-                active = kernel.candidates()[to].profile;
-                swaps += 1;
-            }
-            let want = batcher.target().min(ledger.total_queued());
-            let mut picks: Vec<usize> = vec![0; self.tenants.len()];
-            let mut picked = 0usize;
-            while picked < want {
-                let tenant = rr_next % self.tenants.len();
-                rr_next += 1;
-                let available = ledger.queued(tenant) - picks[tenant];
-                if available > 0 {
-                    picks[tenant] += 1;
-                    picked += 1;
-                }
-            }
-            let done_at = start + active.batch_time(want);
-            for (tenant, &n) in picks.iter().enumerate() {
-                if n == 0 {
-                    continue;
-                }
-                ledger.take(tenant, n);
-                ledger.complete(tenant, n);
-                for _ in 0..n {
-                    let arrived = queues[tenant].pop_front().expect("queued arrival time");
-                    sojourn_sum += done_at - arrived;
-                    sojourn_count += 1;
-                }
-            }
-            batch_sizes.push(want);
-            free_at = done_at;
-            makespan = done_at;
+        loop {
+            let active: ServiceProfile = kernel.candidates()[kernel.current()].profile;
+            let Ok(Some(record)) =
+                server.run_epoch(&mut kernel, active, &Recorder::noop(), price_only)
+            else {
+                break;
+            };
+            kernel.committed();
+            switches.push(record);
         }
-
-        let per_tenant = (0..self.tenants.len())
-            .map(|t| TenantServeStat {
-                admitted: ledger.admitted(t),
-                rejected: ledger.rejected(t),
-                completed: ledger.completed(t),
-            })
-            .collect();
-        (
-            ServeSimReport {
-                per_tenant,
-                batch_sizes,
-                mean_sojourn: if sojourn_count == 0 {
-                    0.0
-                } else {
-                    sojourn_sum / sojourn_count as f64
-                },
-                makespan,
-                swaps,
-            },
-            switches,
-        )
+        (server.into_report(switches.len() as u64), switches)
     }
 }
 

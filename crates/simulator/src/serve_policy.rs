@@ -1,22 +1,28 @@
 //! Serving-policy primitives shared by the live `pico-serve` front-end
-//! and its discrete-event mirror.
+//! and every virtual-time driver.
 //!
 //! The serving layer makes three decisions — admit or reject a task,
 //! how many queued tasks to batch into the pipeline, and when a tenant
-//! has exhausted its budget. Those decisions must be *identical* in the
-//! threaded front-end and in simulation, or the replay tests could
-//! never compare them, so the policy lives here in one place:
+//! has exhausted its budget — and APICO (Sec. IV-C) adds a fourth: when
+//! to switch plans. All four live here, once:
 //!
 //! * [`BatchPolicy`] / [`AdaptiveBatcher`] — micro-batch sizing from an
 //!   EWMA of observed inter-arrival gaps (the same Eq. 15 smoothing the
 //!   APICO switcher uses for λ);
 //! * [`TenantPolicy`] / [`AdmissionLedger`] — per-tenant bounded queues
-//!   and in-flight budgets, with typed [`RejectReason`]s;
-//! * [`ServeSim`] — a deterministic batch-server queue simulation that
-//!   prices a batch of `B` tasks at `latency + (B − 1) · period` using
-//!   the plan's own cost-model metrics.
+//!   and in-flight budgets with typed [`RejectReason`]s, plus the
+//!   round-robin batch composition every server uses;
+//! * [`BatchServer`] — the batch-server recurrence itself: admit what
+//!   has arrived, honour a due switch at the batch boundary, compose,
+//!   and price the batch at `latency + (B − 1) · period`. Callers supply
+//!   how a batch executes and a [`SwitchSource`];
+//! * [`ServeSim`] — the loop with price-only execution and at most one
+//!   scripted swap.
 
 use std::collections::VecDeque;
+use std::convert::Infallible;
+
+use pico_telemetry::{names, Ctx, Recorder};
 
 use crate::InterArrivalEstimator;
 
@@ -202,17 +208,17 @@ pub enum RejectReason {
 struct TenantAccount {
     queued: usize,
     in_flight: usize,
-    admitted: u64,
-    rejected: u64,
-    completed: u64,
+    stat: TenantServeStat,
 }
 
 /// Bookkeeping for admission control: one account per tenant, shared
-/// verbatim by the live front-end and [`ServeSim`].
+/// verbatim by the live front-end and [`BatchServer`].
 #[derive(Debug, Clone)]
 pub struct AdmissionLedger {
     policies: Vec<TenantPolicy>,
     accounts: Vec<TenantAccount>,
+    /// Where the next batch's round-robin composition resumes.
+    cursor: usize,
 }
 
 impl AdmissionLedger {
@@ -231,12 +237,11 @@ impl AdmissionLedger {
             );
         }
         let accounts = vec![TenantAccount::default(); policies.len()];
-        AdmissionLedger { policies, accounts }
-    }
-
-    /// Number of tenants.
-    pub fn tenants(&self) -> usize {
-        self.policies.len()
+        AdmissionLedger {
+            policies,
+            accounts,
+            cursor: 0,
+        }
     }
 
     /// The policy governing `tenant`.
@@ -256,19 +261,19 @@ impl AdmissionLedger {
         let policy = self.policies[tenant];
         let acct = &mut self.accounts[tenant];
         if acct.queued >= policy.queue_capacity {
-            acct.rejected += 1;
+            acct.stat.rejected += 1;
             return Err(RejectReason::QueueFull {
                 capacity: policy.queue_capacity,
             });
         }
         if acct.queued + acct.in_flight >= policy.in_flight_budget {
-            acct.rejected += 1;
+            acct.stat.rejected += 1;
             return Err(RejectReason::OverBudget {
                 budget: policy.in_flight_budget,
             });
         }
         acct.queued += 1;
-        acct.admitted += 1;
+        acct.stat.admitted += 1;
         Ok(acct.queued)
     }
 
@@ -284,6 +289,25 @@ impl AdmissionLedger {
         acct.in_flight += n;
     }
 
+    /// Composes the next batch: moves up to `want` queued tasks (fewer
+    /// when fewer are queued) into flight, one per tenant in round-robin
+    /// order, resuming where the previous batch left off so no tenant
+    /// is starved. Returns the owning tenant of each batch slot; the
+    /// caller pops that tenant's own FIFO once per slot.
+    pub fn compose(&mut self, want: usize) -> Vec<usize> {
+        let want = want.min(self.total_queued());
+        let mut order = Vec::with_capacity(want);
+        while order.len() < want {
+            let tenant = self.cursor % self.accounts.len();
+            self.cursor += 1;
+            if self.accounts[tenant].queued > 0 {
+                self.take(tenant, 1);
+                order.push(tenant);
+            }
+        }
+        order
+    }
+
     /// Retires `n` of `tenant`'s in-flight tasks as completed.
     ///
     /// # Panics
@@ -297,7 +321,7 @@ impl AdmissionLedger {
             acct.in_flight
         );
         acct.in_flight -= n;
-        acct.completed += n as u64;
+        acct.stat.completed += n as u64;
     }
 
     /// Tasks currently queued for `tenant`.
@@ -312,22 +336,27 @@ impl AdmissionLedger {
 
     /// Total tasks ever admitted for `tenant`.
     pub fn admitted(&self, tenant: usize) -> u64 {
-        self.accounts[tenant].admitted
+        self.accounts[tenant].stat.admitted
     }
 
     /// Total tasks ever rejected for `tenant`.
     pub fn rejected(&self, tenant: usize) -> u64 {
-        self.accounts[tenant].rejected
+        self.accounts[tenant].stat.rejected
     }
 
     /// Total tasks ever completed for `tenant`.
     pub fn completed(&self, tenant: usize) -> u64 {
-        self.accounts[tenant].completed
+        self.accounts[tenant].stat.completed
     }
 
     /// Tasks queued across all tenants.
     pub fn total_queued(&self) -> usize {
         self.accounts.iter().map(|a| a.queued).sum()
+    }
+
+    /// Admission/completion counts per tenant, indexed by tenant id.
+    pub fn stats(&self) -> Vec<TenantServeStat> {
+        self.accounts.iter().map(|a| a.stat).collect()
     }
 }
 
@@ -351,8 +380,8 @@ impl ServiceProfile {
     }
 }
 
-/// Per-tenant outcome counts from a [`ServeSim`] run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Per-tenant outcome counts, as the [`AdmissionLedger`] keeps them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TenantServeStat {
     /// Tasks admitted into the queue.
     pub admitted: u64,
@@ -402,18 +431,213 @@ impl ServeSimReport {
     }
 }
 
-/// Deterministic discrete-event mirror of the serving front-end.
-///
-/// Arrivals flow through the *same* [`AdmissionLedger`] and
-/// [`AdaptiveBatcher`] the live front-end uses; the pipeline itself is
-/// replaced by [`ServiceProfile::batch_time`] pricing. The server takes
-/// a batch whenever it is free and anything is queued, sized
-/// `min(target, queued_total)` and composed round-robin across tenants
-/// — exactly the live composition rule.
+/// Where plan switches come from — with how a batch executes, the only
+/// thing that differs between callers of [`BatchServer::run_epoch`].
+pub trait SwitchSource {
+    /// What a due switch hands back: enough to name the target plan.
+    type Switch;
+
+    /// Sees every admitted arrival's timestamp — the λ signal.
+    fn admitted(&mut self, _t: f64, _rec: &Recorder) {}
+
+    /// The switch to honour before the batch starting at `start` forms.
+    fn due(&mut self, start: f64) -> Option<Self::Switch>;
+}
+
+/// Scripted swap requests, `(request time, target)` by ascending time;
+/// empty serves under a fixed plan. A request comes due at the first
+/// batch boundary at or after its time (the in-service batch finishes
+/// first, like the live warm swap) and is consumed when reported.
+impl<T> SwitchSource for VecDeque<(f64, T)> {
+    type Switch = T;
+
+    fn due(&mut self, start: f64) -> Option<T> {
+        self.pop_front_if(|(at, _)| start >= *at)
+            .map(|(_, target)| target)
+    }
+}
+
+/// The executor of the simulation mirrors: the batch is only priced.
+pub(crate) fn price_only(_: &[(usize, usize)], _: f64) -> Result<(), Infallible> {
+    Ok(())
+}
+
+/// The batch-server recurrence every virtual-time serving driver runs
+/// (paper Sec. IV-C: estimate λ at admission, drain, switch scheme at
+/// the next batch boundary), over the *same* [`AdmissionLedger`] and
+/// [`AdaptiveBatcher`] the live front-end uses. The server takes a
+/// batch whenever it is free and anything is queued, sized
+/// `min(target, queued_total)` and composed round-robin across
+/// tenants. State persists across [`run_epoch`](Self::run_epoch) calls,
+/// so a caller that swaps plans (and pipelines) between epochs resumes
+/// exactly where it drained.
+#[derive(Debug)]
+pub struct BatchServer<'a> {
+    arrivals: &'a [(f64, usize)],
+    ledger: AdmissionLedger,
+    batcher: AdaptiveBatcher,
+    /// Admitted arrival indices per tenant, FIFO.
+    queues: Vec<VecDeque<usize>>,
+    /// Index of the next arrival not yet offered.
+    next: usize,
+    /// When the server next falls idle; the makespan once drained.
+    free_at: f64,
+    batch_sizes: Vec<usize>,
+    rejections: Vec<(usize, usize, RejectReason)>,
+    sojourn_sum: f64,
+}
+
+impl<'a> BatchServer<'a> {
+    /// Creates an idle server at virtual time 0 over `arrivals` —
+    /// `(time, tenant)` pairs sorted by time.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a policy has violations, `tenants` is empty, or
+    /// `arrivals` holds a non-finite time or is unsorted. An arrival
+    /// naming an unknown tenant panics when it is offered.
+    pub fn new(
+        batch: BatchPolicy,
+        tenants: Vec<TenantPolicy>,
+        arrivals: &'a [(f64, usize)],
+    ) -> Self {
+        assert!(
+            arrivals.iter().all(|a| a.0.is_finite())
+                && arrivals.windows(2).all(|w| w[0].0 <= w[1].0),
+            "arrival times must be finite and sorted"
+        );
+        BatchServer {
+            arrivals,
+            queues: vec![VecDeque::new(); tenants.len()],
+            ledger: AdmissionLedger::new(tenants),
+            batcher: AdaptiveBatcher::new(batch),
+            next: 0,
+            free_at: 0.0,
+            batch_sizes: Vec::new(),
+            rejections: Vec::new(),
+            sojourn_sum: 0.0,
+        }
+    }
+
+    /// Serves under `profile` until the trace is exhausted and drained
+    /// (`None`) or `source` has a switch due at a batch boundary
+    /// (`Some`): the caller installs or refuses the target and calls
+    /// again. `execute` runs each formed batch, given its `(tenant,
+    /// arrival index)` slots in composition order and its virtual
+    /// completion time — a no-op to only price it, or a real pipeline
+    /// submission. Admission and batch events go to `rec` at their
+    /// virtual timestamps.
+    ///
+    /// # Errors
+    ///
+    /// The first error `execute` returns.
+    pub fn run_epoch<S: SwitchSource, E>(
+        &mut self,
+        source: &mut S,
+        profile: ServiceProfile,
+        rec: &Recorder,
+        mut execute: impl FnMut(&[(usize, usize)], f64) -> Result<(), E>,
+    ) -> Result<Option<S::Switch>, E> {
+        loop {
+            if self.ledger.total_queued() == 0 {
+                // Idle with nothing waiting: jump to the next arrival.
+                let Some(&(t, _)) = self.arrivals.get(self.next) else {
+                    return Ok(None);
+                };
+                if self.free_at < t {
+                    self.free_at = t;
+                }
+                self.admit_next(source, rec);
+                continue;
+            }
+            let start = self.free_at;
+            // Everything landing while the previous batch was in service
+            // queues up (and may be rejected) before the next one forms.
+            while self.arrivals.get(self.next).is_some_and(|a| a.0 <= start) {
+                self.admit_next(source, rec);
+            }
+            // The one switching checkpoint: every driver drains and
+            // swaps here, so they agree on every switch's virtual time.
+            if let Some(switch) = source.due(start) {
+                return Ok(Some(switch));
+            }
+            let mut tasks = Vec::new();
+            for tenant in self.ledger.compose(self.batcher.target()) {
+                let seq = self.queues[tenant].pop_front();
+                tasks.push((tenant, seq.expect("ledger and queues agree")));
+            }
+            let size = tasks.len();
+            rec.observe_at(names::BATCH_FORMED, Ctx::default(), start, size as f64);
+            let done_at = start + profile.batch_time(size);
+            execute(&tasks, done_at)?;
+            // Sojourns are summed tenant-major, as this mirror always
+            // has, so `mean_sojourn` keeps its bits.
+            tasks.sort_by_key(|&(tenant, _)| tenant);
+            for &(tenant, seq) in &tasks {
+                self.ledger.complete(tenant, 1);
+                self.sojourn_sum += done_at - self.arrivals[seq].0;
+            }
+            self.batch_sizes.push(size);
+            self.free_at = done_at;
+        }
+    }
+
+    /// Offers the next arrival to the ledger; an admitted one feeds the
+    /// batcher and the switch source.
+    fn admit_next(&mut self, source: &mut impl SwitchSource, rec: &Recorder) {
+        let seq = self.next;
+        self.next += 1;
+        let (t, tenant) = self.arrivals[seq];
+        let ctx = Ctx::tenant(tenant).for_task(seq);
+        match self.ledger.offer(tenant) {
+            Ok(depth) => {
+                self.queues[tenant].push_back(seq);
+                self.batcher.observe_arrival(t);
+                source.admitted(t, rec);
+                rec.instant_at(names::TASK_ADMITTED, ctx, t, depth as f64);
+            }
+            Err(reason) => {
+                let depth = self.ledger.queued(tenant);
+                rec.instant_at(names::TASK_REJECTED, ctx, t, depth as f64);
+                self.rejections.push((seq, tenant, reason));
+            }
+        }
+    }
+
+    /// When the server next falls idle — at an epoch boundary, the
+    /// virtual time the drained epoch's last batch completed.
+    pub fn free_at(&self) -> f64 {
+        self.free_at
+    }
+
+    /// Rejected arrivals as `(arrival index, tenant, reason)`, in
+    /// arrival order.
+    pub fn rejections(&self) -> &[(usize, usize, RejectReason)] {
+        &self.rejections
+    }
+
+    /// The run's aggregate result; the caller counted the `swaps` it
+    /// installed.
+    pub fn into_report(self, swaps: u64) -> ServeSimReport {
+        // Nothing completed means nothing summed: 0 / 1.
+        let completed: usize = self.batch_sizes.iter().sum();
+        ServeSimReport {
+            per_tenant: self.ledger.stats(),
+            mean_sojourn: self.sojourn_sum / completed.max(1) as f64,
+            batch_sizes: self.batch_sizes,
+            makespan: self.free_at,
+            swaps,
+        }
+    }
+}
+
+/// Deterministic discrete-event mirror of the serving front-end:
+/// [`BatchServer`] with price-only execution and at most one scripted
+/// swap.
 #[derive(Debug, Clone)]
 pub struct ServeSim {
-    batch: BatchPolicy,
-    tenants: Vec<TenantPolicy>,
+    pub(crate) batch: BatchPolicy,
+    pub(crate) tenants: Vec<TenantPolicy>,
 }
 
 impl ServeSim {
@@ -423,135 +647,36 @@ impl ServeSim {
     ///
     /// Panics when any policy has violations or `tenants` is empty.
     pub fn new(batch: BatchPolicy, tenants: Vec<TenantPolicy>) -> Self {
-        let violations = batch.violations();
-        assert!(violations.is_empty(), "invalid BatchPolicy: {violations:?}");
-        // Ledger construction re-validates the tenant policies.
-        let _ = AdmissionLedger::new(tenants.clone());
+        // Building a server validates both policies.
+        let _ = BatchServer::new(batch, tenants.clone(), &[]);
         ServeSim { batch, tenants }
     }
 
     /// Runs the mirror over `arrivals` — `(time, tenant)` pairs sorted
     /// by time — serving with `profile`. When `swap` is given, the
     /// first batch that would *start* at or after the swap time instead
-    /// drains (the in-service batch finishes first, like the live warm
-    /// swap) and every later batch is priced with the new profile.
+    /// drains and every later batch is priced with the new profile.
     ///
     /// # Panics
     ///
-    /// Panics if `arrivals` is unsorted or names an unknown tenant.
+    /// Panics if `arrivals` is unsorted, holds a non-finite time, or
+    /// names an unknown tenant.
     pub fn run(
         &self,
         arrivals: &[(f64, usize)],
         profile: ServiceProfile,
         swap: Option<(f64, ServiceProfile)>,
     ) -> ServeSimReport {
-        assert!(
-            arrivals.windows(2).all(|w| w[0].0 <= w[1].0),
-            "arrivals must be sorted by time"
-        );
-        let mut ledger = AdmissionLedger::new(self.tenants.clone());
-        let mut batcher = AdaptiveBatcher::new(self.batch);
-        // FIFO arrival times per tenant, for sojourn accounting.
-        let mut queues: Vec<VecDeque<f64>> = vec![VecDeque::new(); self.tenants.len()];
-        let mut rr_next = 0usize; // round-robin cursor across tenants
-
-        let mut i = 0usize;
-        let mut free_at = 0.0f64;
-        let mut active = profile;
-        let mut swap = swap;
-        let mut swaps = 0u64;
-        let mut batch_sizes = Vec::new();
-        let mut sojourn_sum = 0.0f64;
-        let mut sojourn_count = 0u64;
-        let mut makespan = 0.0f64;
-
-        let admit = |t: f64,
-                     tenant: usize,
-                     ledger: &mut AdmissionLedger,
-                     batcher: &mut AdaptiveBatcher,
-                     queues: &mut Vec<VecDeque<f64>>| {
-            if ledger.offer(tenant).is_ok() {
-                queues[tenant].push_back(t);
-                batcher.observe_arrival(t);
-            }
-        };
-
-        while i < arrivals.len() || ledger.total_queued() > 0 {
-            if ledger.total_queued() == 0 {
-                // Server idle and nothing waiting: jump to next arrival.
-                let (t, tenant) = arrivals[i];
-                i += 1;
-                if free_at < t {
-                    free_at = t;
-                }
-                admit(t, tenant, &mut ledger, &mut batcher, &mut queues);
-                continue;
-            }
-            let start = free_at;
-            // Everything landing while the previous batch was in
-            // service queues up (and may be rejected) before the next
-            // batch forms.
-            while i < arrivals.len() && arrivals[i].0 <= start {
-                let (t, tenant) = arrivals[i];
-                i += 1;
-                admit(t, tenant, &mut ledger, &mut batcher, &mut queues);
-            }
-            if let Some((at, next)) = swap {
-                if start >= at {
-                    active = next;
-                    swaps += 1;
-                    swap = None;
-                }
-            }
-            // Compose the batch round-robin across tenants.
-            let want = batcher.target().min(ledger.total_queued());
-            let mut picks: Vec<usize> = vec![0; self.tenants.len()];
-            let mut picked = 0usize;
-            while picked < want {
-                let tenant = rr_next % self.tenants.len();
-                rr_next += 1;
-                let available = ledger.queued(tenant) - picks[tenant];
-                if available > 0 {
-                    picks[tenant] += 1;
-                    picked += 1;
-                }
-            }
-            let done_at = start + active.batch_time(want);
-            for (tenant, &n) in picks.iter().enumerate() {
-                if n == 0 {
-                    continue;
-                }
-                ledger.take(tenant, n);
-                ledger.complete(tenant, n);
-                for _ in 0..n {
-                    let arrived = queues[tenant].pop_front().expect("queued arrival time");
-                    sojourn_sum += done_at - arrived;
-                    sojourn_count += 1;
-                }
-            }
-            batch_sizes.push(want);
-            free_at = done_at;
-            makespan = done_at;
+        let mut server = BatchServer::new(self.batch, self.tenants.clone(), arrivals);
+        let mut swap: VecDeque<_> = swap.into_iter().collect();
+        let (mut active, mut swaps) = (profile, 0);
+        while let Ok(Some(next)) =
+            server.run_epoch(&mut swap, active, &Recorder::noop(), price_only)
+        {
+            active = next;
+            swaps += 1;
         }
-
-        let per_tenant = (0..self.tenants.len())
-            .map(|t| TenantServeStat {
-                admitted: ledger.admitted(t),
-                rejected: ledger.rejected(t),
-                completed: ledger.completed(t),
-            })
-            .collect();
-        ServeSimReport {
-            per_tenant,
-            batch_sizes,
-            mean_sojourn: if sojourn_count == 0 {
-                0.0
-            } else {
-                sojourn_sum / sojourn_count as f64
-            },
-            makespan,
-            swaps,
-        }
+        server.into_report(swaps)
     }
 }
 

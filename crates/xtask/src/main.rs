@@ -5,8 +5,9 @@
 //! analysis that stock clippy cannot express:
 //!
 //! 1. **no-panic-serving-path** — no `.unwrap()` / `.expect(` in
-//!    non-test code of `pico-runtime` and `pico-core` (the serving
-//!    path propagates `Result`s; panics belong in tests only);
+//!    non-test code of `pico-runtime`, `pico-core` and `pico-serve`
+//!    (the serving path propagates `Result`s; panics belong in tests
+//!    only);
 //! 2. **no-lossy-casts-in-cost** — the cost model
 //!    (`crates/partition/src/cost.rs`) may only cast *to* `f64`
 //!    (int → f64 is the one sanctioned widening); any other `as` cast
@@ -231,7 +232,7 @@ fn non_test_lines(source: &str) -> Vec<(usize, String)> {
 /// Rule 1: no `.unwrap()` / `.expect(` in the serving path.
 fn lint_no_panics(root: &Path, violations: &mut Vec<Violation>) {
     let mut files = Vec::new();
-    for dir in ["crates/runtime/src", "crates/core/src"] {
+    for dir in ["crates/runtime/src", "crates/core/src", "crates/serve/src"] {
         rust_files(&root.join(dir), &mut files);
     }
     for file in files {

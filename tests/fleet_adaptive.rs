@@ -15,10 +15,13 @@
 //! 5. **The DES mirror agrees** — `FleetSim` over the same `(t,
 //!    tenant)` arrivals with the same kernel reproduces the replayer's
 //!    switch schedule record for record, in virtual time.
+//! 6. **So does the scripted path** — `ServeSim` over a scripted-swap
+//!    trace's arrivals, priced by the two plans' frontier profiles,
+//!    reproduces `Replayer::run`'s batches, counts and makespan.
 
 use pico::prelude::*;
 use pico::serve::{build_script, ReplayScript, ScriptSpec, ServeEvent, SwitchRecord};
-use pico::sim::FleetSim;
+use pico::sim::{FleetSim, ServeSim};
 
 fn setup() -> (Model, Cluster, CostParams) {
     (
@@ -152,4 +155,46 @@ fn steady_trace_holds_the_cheapest_plan() {
         outcome.completed.len() + outcome.rejections.len(),
         spec.tasks
     );
+}
+
+#[test]
+fn scripted_swap_replay_agrees_with_the_serve_sim_mirror() {
+    let (m, c, p) = setup();
+    for script in ReplayScript::ALL {
+        let spec = ScriptSpec {
+            tasks: 96,
+            tenants: 2,
+            seed: 7,
+            swap_at: Some(48),
+        };
+        let rp = build_script(&m, &c, &p, script, &spec).unwrap();
+        let engine = Engine::with_seed(&m, 7);
+        let outcome = Replayer::new(&m, &c, &p, &engine, rp.config.clone())
+            .run(&rp.initial, &rp.events)
+            .unwrap();
+
+        // The script starts on the highest-throughput entry and swaps
+        // to the cheapest one the switch audit reaches from it.
+        let entries = rp.frontier.entries();
+        let from = rp.frontier.max_throughput();
+        let to = rp.frontier.swap_target(from).unwrap();
+        let mut arrivals = Vec::new();
+        let mut swap = None;
+        for e in &rp.events {
+            match e {
+                ServeEvent::Arrival { t, tenant, .. } => arrivals.push((*t, *tenant)),
+                ServeEvent::Swap { t, .. } => swap = Some((*t, entries[to].profile())),
+            }
+        }
+        let report = ServeSim::new(rp.config.batch, rp.config.tenants.clone()).run(
+            &arrivals,
+            entries[from].profile(),
+            swap,
+        );
+        let label = script.name();
+        assert_eq!(report.batch_sizes, outcome.batch_sizes, "{label}");
+        assert_eq!(report.per_tenant, outcome.per_tenant, "{label}");
+        assert_eq!(report.swaps, outcome.swaps, "{label}");
+        assert_eq!(report.makespan, outcome.makespan, "{label}");
+    }
 }
