@@ -341,86 +341,12 @@ impl Pico {
         out
     }
 
-    /// Executes with failure recovery: if a device dies mid-run
-    /// (surfacing as [`RuntimeError::DeviceFailed`]), the deployment
-    /// re-plans on the surviving devices and retries the whole batch,
-    /// until it succeeds or no devices remain.
-    ///
-    /// `known_failed` seeds the exclusion list (e.g. from a health
-    /// monitor); `inject_failures` marks devices that will fail when
-    /// used — the test/chaos hook.
-    ///
-    /// Returns the successful report, the plan that finally worked, and
-    /// the ids excluded along the way.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlanError::EmptyPlan`]-style planning failures wrapped
-    /// as [`RuntimeError::DeviceFailed`] context when the cluster runs
-    /// out of devices, or any non-failure runtime error as-is.
-    pub fn execute_with_recovery(
-        &self,
-        inputs: Vec<Tensor>,
-        seed: u64,
-        known_failed: &[usize],
-        inject_failures: &[usize],
-    ) -> Result<(RunReport, Plan, Vec<usize>), RuntimeError> {
-        let engine = self.engine(seed);
-        let mut excluded: Vec<usize> = known_failed.to_vec();
-        loop {
-            let Some(cluster) = self.cluster.without(&excluded) else {
-                return Err(RuntimeError::DeviceFailed {
-                    device: *excluded.last().unwrap_or(&0),
-                    task: 0,
-                    cause: "no devices left to re-plan on".to_owned(),
-                });
-            };
-            let plan = PicoPlanner
-                .plan(&PlanRequest::new(&self.model, &cluster, &self.params))
-                .map_err(|e| RuntimeError::DeviceFailed {
-                    device: *excluded.last().unwrap_or(&0),
-                    task: 0,
-                    cause: format!("re-planning failed: {e}"),
-                })?;
-            let mut builder = PipelineRuntime::builder(&self.model, &plan, &engine)
-                .recorder(self.recorder.clone());
-            for f in inject_failures {
-                if !excluded.contains(f) {
-                    builder = builder.failed_device(*f);
-                }
-            }
-            match builder.build().run(inputs.clone()) {
-                Ok(report) => return Ok((report, plan, excluded)),
-                Err(RuntimeError::DeviceFailed { device, .. }) => {
-                    excluded.push(device);
-                }
-                // A multi-device outage excludes every casualty in one
-                // round instead of burning a re-plan per device.
-                Err(RuntimeError::Multiple { errors })
-                    if errors
-                        .iter()
-                        .all(|e| matches!(e, RuntimeError::DeviceFailed { .. })) =>
-                {
-                    for e in &errors {
-                        if let RuntimeError::DeviceFailed { device, .. } = e {
-                            if !excluded.contains(device) {
-                                excluded.push(*device);
-                            }
-                        }
-                    }
-                }
-                Err(other) => return Err(other),
-            }
-        }
-    }
-
     /// Executes a plan with **in-run** fault tolerance: the scripted
     /// `schedule` injects device failures mid-stream, and a
     /// [`RecoveryPolicy`] detects them, retries the dead worker's shard
     /// on survivors of the same stage, and re-plans the pipeline over
     /// the surviving cluster when a stage loses every worker — without
-    /// restarting the tasks already completed (contrast with
-    /// [`Pico::execute_with_recovery`], which re-runs the whole batch).
+    /// restarting the tasks already completed.
     ///
     /// The report carries [`RunReport::failures`] (every device declared
     /// dead, with the task it died on) and [`RunReport::degraded_plan`]
@@ -622,33 +548,6 @@ mod tests {
     }
 
     #[test]
-    fn recovery_replans_around_failed_devices() {
-        let pico = Pico::new(zoo::mnist_toy(), Cluster::pi_cluster(4, 1.0));
-        let inputs = vec![Tensor::random(pico.model().input_shape(), 3)];
-        // Healthy run for the reference output.
-        let healthy = pico.plan().unwrap();
-        let reference = pico.execute(&healthy, inputs.clone(), 9).unwrap();
-        // Kill whichever device serves the first stage.
-        let victim = healthy.stages[0].assignments[0].device;
-        let (report, plan, excluded) = pico
-            .execute_with_recovery(inputs, 9, &[], &[victim])
-            .unwrap();
-        assert!(excluded.contains(&victim));
-        assert!(!plan.used_devices().contains(&victim));
-        assert_eq!(report.outputs[0], reference.outputs[0]);
-    }
-
-    #[test]
-    fn recovery_gives_up_when_cluster_exhausted() {
-        let pico = Pico::new(zoo::toy(2), Cluster::pi_cluster(2, 1.0));
-        let inputs = vec![Tensor::random(pico.model().input_shape(), 1)];
-        let err = pico
-            .execute_with_recovery(inputs, 1, &[], &[0, 1])
-            .unwrap_err();
-        assert!(matches!(err, RuntimeError::DeviceFailed { .. }));
-    }
-
-    #[test]
     fn resilient_execution_survives_mid_stream_failure() {
         let pico = Pico::new(zoo::mnist_toy(), Cluster::pi_cluster(4, 1.0));
         let plan = pico.plan().unwrap();
@@ -663,14 +562,6 @@ mod tests {
             .unwrap();
         assert_eq!(report.outputs, reference.outputs);
         assert!(report.failures.iter().any(|f| f.device == victim));
-    }
-
-    #[test]
-    fn recovery_honors_known_failures_upfront() {
-        let pico = Pico::new(zoo::mnist_toy(), Cluster::pi_cluster(4, 1.0));
-        let inputs = vec![Tensor::random(pico.model().input_shape(), 2)];
-        let (_, plan, _) = pico.execute_with_recovery(inputs, 5, &[2], &[]).unwrap();
-        assert!(!plan.used_devices().contains(&2));
     }
 
     #[test]

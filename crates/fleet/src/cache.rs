@@ -5,22 +5,28 @@
 //! the serving path. The cache is therefore a fixed array of
 //! `RwLock<HashMap>` shards (many concurrent readers, rare writers);
 //! a hit takes one shard read-lock, one hash probe, and an `Arc` clone
-//! — no allocation, which `tests/cache_stress.rs` pins down with a
+//! — no allocation, which `tests/cache_allocs.rs` pins down with a
 //! counting allocator. Eviction is deterministic FIFO by insertion
 //! sequence, so two processes that perform the same operations hold the
 //! same entries.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, LockResult, OnceLock, PoisonError, RwLock};
 
-use parking_lot::RwLock;
 use pico_telemetry::{names, Recorder};
 
 use crate::frontier::{FleetError, FleetFrontier};
 use crate::key::{CacheKey, ClusterSignature};
 
 const SHARDS: usize = 8;
+
+/// Enters a shard lock whether or not an earlier holder panicked: the
+/// critical sections below are whole-map reads and single `HashMap`
+/// calls, so a shard is valid at every step.
+fn enter<G>(guard: LockResult<G>) -> G {
+    guard.unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Default capacity (entries) of the process-global cache.
 pub const GLOBAL_CACHE_CAPACITY: usize = 64;
@@ -92,7 +98,9 @@ impl PlanCache {
     /// Looks up `key`, counting a hit or miss on `rec`
     /// (`plan_cache_hit` / `plan_cache_miss`).
     pub fn get(&self, key: &CacheKey, rec: &Recorder) -> Option<Arc<FleetFrontier>> {
-        let found = self.shard(key).read().get(key).map(|e| e.frontier.clone());
+        let found = enter(self.shard(key).read())
+            .get(key)
+            .map(|e| e.frontier.clone());
         match found {
             Some(frontier) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -112,7 +120,7 @@ impl PlanCache {
     /// handle now resident (an earlier racing insert wins — all racers
     /// built from identical inputs, so any one of them serves).
     pub fn insert(&self, key: CacheKey, frontier: FleetFrontier) -> Arc<FleetFrontier> {
-        let mut shard = self.shard(&key).write();
+        let mut shard = enter(self.shard(&key).write());
         if let Some(existing) = shard.get(&key) {
             return existing.frontier.clone();
         }
@@ -164,7 +172,7 @@ impl PlanCache {
     pub fn invalidate_stale(&self, stale: ClusterSignature, rec: &Recorder) -> u64 {
         let mut dropped = 0u64;
         for shard in &self.shards {
-            let mut shard = shard.write();
+            let mut shard = enter(shard.write());
             let doomed: Vec<CacheKey> = shard
                 .iter()
                 .filter(|(k, _)| k.cluster == stale)
@@ -189,7 +197,7 @@ impl PlanCache {
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             invalidations: self.invalidations.load(Ordering::Relaxed),
-            entries: self.shards.iter().map(|s| s.read().len()).sum(),
+            entries: self.shards.iter().map(|s| enter(s.read()).len()).sum(),
         }
     }
 }

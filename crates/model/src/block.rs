@@ -1,9 +1,7 @@
-use serde::{Deserialize, Serialize};
-
 use crate::{Layer, ModelError, Rows, Shape};
 
 /// How the outputs of a block's parallel paths are combined.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Merge {
     /// Element-wise addition (residual connection). All paths must
     /// produce identical shapes.
@@ -26,7 +24,7 @@ pub type Path = Vec<Layer>;
 /// single layer whose input row requirement is the *union hull* over its
 /// paths ("we first calculate the partition of input feature map for
 /// every path in one block, and then combine them into a bigger one").
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Block {
     /// Human-readable name (e.g. `res2a`, `mixed_5b`).
     pub name: String,

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::{ModelError, Rows, Shape};
 
 /// Parameters of a 2-D convolution layer.
@@ -9,7 +7,7 @@ use crate::{ModelError, Rows, Shape};
 /// kernel, stride, and padding values. Only the *vertical* parameters
 /// participate in row-range receptive-field arithmetic because PICO
 /// partitions feature maps along the height axis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ConvSpec {
     /// Input channels (`c_{i-1}` in Eq. 2).
     pub in_channels: usize,
@@ -70,7 +68,7 @@ impl ConvSpec {
 }
 
 /// Pooling flavour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PoolKind {
     /// Max pooling.
     Max,
@@ -79,7 +77,7 @@ pub enum PoolKind {
 }
 
 /// Parameters of a pooling layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PoolSpec {
     /// Pooling flavour.
     pub kind: PoolKind,
@@ -119,7 +117,7 @@ impl PoolSpec {
 /// must equal `in_features`). Fully-connected layers require the
 /// *entire* input, so they cannot be row-partitioned; the planners keep
 /// them in single-device stages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FcSpec {
     /// Flattened input features.
     pub in_features: usize,
@@ -128,7 +126,7 @@ pub struct FcSpec {
 }
 
 /// What a [`Layer`] computes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LayerKind {
     /// 2-D convolution (with an implicit fused activation; activation
     /// FLOPs are negligible and ignored, like the paper does).
@@ -140,7 +138,7 @@ pub enum LayerKind {
 }
 
 /// One neural layer: a named [`LayerKind`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Layer {
     /// Human-readable name (e.g. `conv1_1`).
     pub name: String,

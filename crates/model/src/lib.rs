@@ -14,6 +14,9 @@
 //! * per-layer communication/computation **profiles** (Fig. 2,
 //!   [`profile::layer_profile`]).
 //!
+//! It also owns the workspace's one seeded generator ([`rng::SplitMix64`]):
+//! every crate that draws weights, inputs or arrivals depends on this one.
+//!
 //! A [`zoo`] module reproduces the architectures evaluated in the paper:
 //! VGG16, YOLOv2, ResNet34, InceptionV3, and the toy models used for the
 //! optimal-search comparison (Table II, Fig. 13).
@@ -44,6 +47,7 @@ mod layer;
 mod model;
 pub mod profile;
 mod region;
+pub mod rng;
 mod rows;
 mod shape;
 pub mod summary;

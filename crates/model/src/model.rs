@@ -1,10 +1,8 @@
-use serde::{Deserialize, Serialize};
-
 use crate::{Block, Layer, ModelError, Rows, Shape};
 
 /// A planning unit of a model: a plain layer, or a graph-structured
 /// block treated as a "special layer" (Sec. IV-B).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Unit {
     /// A single layer.
     Layer(Layer),
@@ -106,7 +104,7 @@ impl From<Block> for Unit {
 
 /// A contiguous, half-open range of model units `[start, end)` — the
 /// paper's model segment `M_{i->j}`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Segment {
     /// First unit index (inclusive).
     pub start: usize,
@@ -153,7 +151,7 @@ impl std::fmt::Display for Segment {
 /// Shapes are inferred once at construction; all segment analyses
 /// (receptive fields, FLOPs, communication volumes) are then cheap
 /// lookups plus interval arithmetic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Model {
     name: String,
     units: Vec<Unit>,

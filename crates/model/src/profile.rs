@@ -1,12 +1,10 @@
 //! Per-layer communication/computation profiling (the data behind
 //! Fig. 2 of the paper).
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Model, Rows, Unit};
 
 /// Computation and communication footprint of one unit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UnitProfile {
     /// Unit index within the model.
     pub index: usize,

@@ -7,14 +7,12 @@
 //! partitioning: per-axis receptive-field back-propagation and FLOPs
 //! accounting for a `rows x cols` tile.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{rows_split_even, ConvSpec, LayerKind, PoolSpec, Rows, Shape};
 use crate::{Block, Layer, Model, ModelError, Segment, Unit};
 
 /// A rectangular region of a feature map: a row range and a column
 /// range (both half-open, in global coordinates).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Region2 {
     /// Row interval.
     pub rows: Rows,

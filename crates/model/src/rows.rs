@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 /// A half-open range of feature-map rows `[start, end)`.
 ///
 /// This is the unit of feature-map partitioning in PICO: each device in a
@@ -21,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(a.intersect(b), Rows::new(6, 8));
 /// assert_eq!(a.hull(b), Rows::new(2, 12));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Rows {
     /// First row (inclusive).
     pub start: usize,

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::BYTES_PER_ELEMENT;
 
 /// The shape of a CHW feature map: `channels x height x width`.
@@ -17,7 +15,7 @@ use crate::BYTES_PER_ELEMENT;
 /// assert_eq!(s.elements(), 64 * 112 * 112);
 /// assert_eq!(s.bytes(), 4 * s.elements());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Shape {
     /// Number of channels.
     pub channels: usize,

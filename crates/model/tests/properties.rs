@@ -46,18 +46,60 @@ fn arb_chain() -> impl Strategy<Value = Model> {
     })
 }
 
+fn check_receptive_field_monotone(
+    m: &Model,
+    a: usize,
+    b: usize,
+    c: usize,
+) -> Result<(), TestCaseError> {
+    let h = m.output_shape().height;
+    let (x, y) = (a % h, b % h);
+    let (lo, hi) = (x.min(y), x.max(y) + 1);
+    let inner = Rows::new(lo, hi.min(h).max(lo));
+    let outer = Rows::new(lo.saturating_sub(c), (hi + c).min(h)).clamp_to(h);
+    let seg = m.full_segment();
+    prop_assert!(m
+        .segment_input_rows(seg, outer)
+        .contains(m.segment_input_rows(seg, inner)));
+    Ok(())
+}
+
+fn check_full_output_receptive_field_in_bounds(m: &Model) -> Result<(), TestCaseError> {
+    let seg = m.full_segment();
+    let h_out = m.output_shape().height;
+    let h_in = m.input_shape().height;
+    let field = m.segment_input_rows(seg, Rows::full(h_out));
+    prop_assert_eq!(field.start, 0);
+    prop_assert!(field.end <= h_in);
+    prop_assert!(!field.is_empty());
+    Ok(())
+}
+
+fn check_partition_flops_superadditive(m: &Model, parts: usize) -> Result<(), TestCaseError> {
+    let seg = m.full_segment();
+    let h = m.output_shape().height;
+    let chunks = rows_split_even(Rows::full(h), parts);
+    let split_total: f64 = chunks.iter().map(|r| m.segment_flops(seg, *r)).sum();
+    // Compare against the lazy full trace (only rows the output
+    // actually depends on), not segment_total_flops: a monolithic
+    // pass may compute bottom rows that strided layers never read.
+    let mono = m.segment_flops(seg, Rows::full(h));
+    prop_assert!(
+        split_total >= mono - 1e-6,
+        "split {split_total} < monolithic {mono}"
+    );
+    for r in &chunks {
+        prop_assert!(m.segment_flops(seg, *r) <= mono + 1e-6);
+    }
+    Ok(())
+}
+
 proptest! {
     /// Back-propagated input rows of a larger output range contain those
     /// of a smaller one (receptive fields are monotone).
     #[test]
     fn receptive_field_monotone(m in arb_chain(), a in 0usize..32, b in 0usize..32, c in 0usize..8) {
-        let h = m.output_shape().height;
-        let (x, y) = (a % h, b % h);
-        let (lo, hi) = (x.min(y), x.max(y) + 1);
-        let inner = Rows::new(lo, hi.min(h).max(lo));
-        let outer = Rows::new(lo.saturating_sub(c), (hi + c).min(h)).clamp_to(h);
-        let seg = m.full_segment();
-        prop_assert!(m.segment_input_rows(seg, outer).contains(m.segment_input_rows(seg, inner)));
+        check_receptive_field_monotone(&m, a, b, c)?;
     }
 
     /// The receptive field of the full output starts at row 0 and stays
@@ -65,13 +107,7 @@ proptest! {
     /// input row when stride arithmetic leaves unused bottom rows.)
     #[test]
     fn full_output_receptive_field_in_bounds(m in arb_chain()) {
-        let seg = m.full_segment();
-        let h_out = m.output_shape().height;
-        let h_in = m.input_shape().height;
-        let field = m.segment_input_rows(seg, Rows::full(h_out));
-        prop_assert_eq!(field.start, 0);
-        prop_assert!(field.end <= h_in);
-        prop_assert!(!field.is_empty());
+        check_full_output_receptive_field_in_bounds(&m)?;
     }
 
     /// Splitting the output across devices always costs at least as much
@@ -79,19 +115,7 @@ proptest! {
     /// device costs no more than the whole segment.
     #[test]
     fn partition_flops_superadditive(m in arb_chain(), parts in 1usize..6) {
-        let seg = m.full_segment();
-        let h = m.output_shape().height;
-        let chunks = rows_split_even(Rows::full(h), parts);
-        let split_total: f64 = chunks.iter().map(|r| m.segment_flops(seg, *r)).sum();
-        // Compare against the lazy full trace (only rows the output
-        // actually depends on), not segment_total_flops: a monolithic
-        // pass may compute bottom rows that strided layers never read.
-        let mono = m.segment_flops(seg, Rows::full(h));
-        prop_assert!(split_total >= mono - 1e-6,
-            "split {split_total} < monolithic {mono}");
-        for r in &chunks {
-            prop_assert!(m.segment_flops(seg, *r) <= mono + 1e-6);
-        }
+        check_partition_flops_superadditive(&m, parts)?;
     }
 
     /// Chained back-propagation through two sub-segments equals
@@ -159,6 +183,31 @@ proptest! {
         prop_assert!(h.contains(r1) && h.contains(r2));
         prop_assert_eq!(i.len() + h.len() >= r1.len() + r2.len(), true);
     }
+}
+
+/// The shrunk counter-examples proptest recorded while these
+/// properties (and `arb_chain`, which then still drew `k < s`) were
+/// being written, pinned as plain cases.
+#[test]
+fn recorded_counterexamples_hold() {
+    let chain = |units: Vec<pico_model::Unit>| {
+        Model::new("prop", Shape::new(3, 64, 64), units).expect("chain is consistent")
+    };
+    let conv = |name: &str, i, o, k, s| Layer::conv(name, ConvSpec::square(i, o, k, s, 0)).into();
+    let pool = |name: &str, k, s| Layer::pool(name, PoolSpec::max(k, s)).into();
+
+    let m = chain(vec![pool("p0", 2, 1), pool("p1", 2, 2)]);
+    assert_eq!(check_full_output_receptive_field_in_bounds(&m), Ok(()));
+
+    let m = chain(vec![conv("c0", 3, 4, 1, 1), conv("c1", 4, 8, 1, 2)]);
+    assert_eq!(check_partition_flops_superadditive(&m, 1), Ok(()));
+
+    let m = chain(vec![
+        conv("c0", 3, 4, 1, 1),
+        pool("p1", 2, 2),
+        pool("p2", 3, 1),
+    ]);
+    assert_eq!(check_receptive_field_monotone(&m, 2, 30, 0), Ok(()));
 }
 
 #[test]

@@ -14,12 +14,11 @@
 //! and ship its paths' outputs.
 
 use pico_model::{Model, Region2, Unit};
-use serde::{Deserialize, Serialize};
 
 use crate::{Cluster, CostParams};
 
 /// Path-parallel potential of one block.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BlockParallelism {
     /// Unit index of the block within the model.
     pub unit: usize,

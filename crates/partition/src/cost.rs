@@ -1,12 +1,11 @@
 use pico_model::{Model, Region2, Rows, Segment};
-use serde::{Deserialize, Serialize};
 
 use crate::{Assignment, Cluster, Device, ExecutionMode, Plan, Stage};
 
 /// Environment parameters of the cost model: the shared WLAN bandwidth
 /// `b` (the paper assumes one uniform bandwidth for all device pairs)
 /// and an optional pipeline latency limit `T_lim` (Eq. 1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostParams {
     /// Shared bandwidth in **bits per second**.
     pub bandwidth_bps: f64,
@@ -127,7 +126,7 @@ impl Default for CostParams {
 
 /// Computation/communication breakdown of one stage (Eq. 9:
 /// `T(S) = T_comp(S) + T_comm(S)`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageCost {
     /// `T_comp`: the slowest device's compute time (Eq. 6).
     pub comp: f64,
@@ -143,7 +142,7 @@ impl StageCost {
 }
 
 /// Predicted performance of a whole plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlanMetrics {
     /// Pipeline period `P` (Eq. 10) — the reciprocal of throughput. For
     /// sequential (one-stage) schemes this equals `latency`.

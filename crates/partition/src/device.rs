@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 /// Effective floating-point operations per CPU cycle assumed for an
 /// edge-class ARM core running an optimized conv kernel (NNPACK-style).
 ///
@@ -14,7 +12,7 @@ pub const FLOPS_PER_CYCLE: f64 = 1.0;
 /// One edge computing device, reduced — exactly like the paper's cost
 /// model (Sec. III-B) — to a computing capacity `ϑ` (FLOP/s) and a
 /// calibration coefficient `α` (Eq. 5).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Device {
     /// Stable identifier, unique within a [`Cluster`].
     pub id: usize,
@@ -103,7 +101,7 @@ impl Device {
 }
 
 /// An edge cluster: a set of [`Device`]s with unique ids.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cluster {
     devices: Vec<Device>,
 }

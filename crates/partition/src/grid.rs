@@ -10,10 +10,9 @@
 //! grid usually beats `p` thin strips on both metrics.
 
 use pico_model::{grid_split_even, Model, Region2, Segment};
-use serde::{Deserialize, Serialize};
 
 /// FLOPs/memory of one (fused depth, grid shape) configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GridPoint {
     /// Grid rows.
     pub grid_rows: usize,

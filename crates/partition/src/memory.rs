@@ -15,12 +15,11 @@
 //!   simultaneously (tiles shrink with the device's row share).
 
 use pico_model::{Model, Region2, Unit, BYTES_PER_ELEMENT};
-use serde::{Deserialize, Serialize};
 
 use crate::Plan;
 
 /// Memory footprint of one device under a plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeviceMemory {
     /// Device id.
     pub device: usize,

@@ -7,13 +7,12 @@
 //! operating point against an application's latency SLO.
 
 use pico_model::Model;
-use serde::{Deserialize, Serialize};
 
 use crate::pico::plan_over_table;
 use crate::{Cluster, CostParams, Plan};
 
 /// One achievable operating point.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FrontierPoint {
     /// The latency limit that produced this plan (`None` =
     /// unconstrained).

@@ -1,5 +1,4 @@
 use pico_model::{Model, Region2, Rows, Segment};
-use serde::{Deserialize, Serialize};
 
 use crate::{Cluster, PlanError};
 
@@ -8,7 +7,7 @@ use crate::{Cluster, PlanError};
 ///
 /// PICO's plans are row strips (`cols = None`, meaning the full width);
 /// the DeepThings-style grid extension restricts columns too.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Assignment {
     /// Device id (within the plan's cluster).
     pub device: usize,
@@ -51,7 +50,7 @@ impl Assignment {
 
 /// One pipeline stage `S_{i->j} = (D_{i->j}, F_j)`: a contiguous model
 /// segment plus the per-device output partition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Stage {
     /// The model units this stage executes.
     pub segment: Segment,
@@ -88,7 +87,7 @@ impl Stage {
 }
 
 /// Which parallelization strategy produced a plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scheme {
     /// Layer-wise (MoDNN).
     LayerWise,
@@ -124,7 +123,7 @@ impl std::fmt::Display for Scheme {
 }
 
 /// How a plan's stages execute over a task stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecutionMode {
     /// Stages run concurrently on disjoint device subsets; a new task
     /// enters as soon as the first stage frees up. Period = max stage
@@ -137,7 +136,7 @@ pub enum ExecutionMode {
 }
 
 /// A complete parallelization strategy: the stage set `S` of Eq. 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Plan {
     /// The strategy that produced this plan.
     pub scheme: Scheme,

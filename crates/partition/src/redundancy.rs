@@ -12,13 +12,12 @@
 //! equals the stage's total duplicated work exactly.
 
 use pico_model::{rows_split_even, Model, Region2, Rows, Segment};
-use serde::{Deserialize, Serialize};
 
 use crate::{Plan, Stage};
 
 /// FLOPs a single device performs (for one task), split into useful and
 /// redundant parts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceWork {
     /// Device id.
     pub device: usize,
@@ -143,7 +142,7 @@ pub fn redundancy_ratio(work: &[DeviceWork]) -> f64 {
 
 /// One point of the Fig. 4 sweep: FLOPs when the first `fused_units`
 /// units of a model are fused and split evenly over `devices` devices.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FusedFlopsPoint {
     /// Number of cooperating devices.
     pub devices: usize,

@@ -64,6 +64,78 @@ fn planners() -> Vec<Box<dyn Planner>> {
     ]
 }
 
+fn check_pico_at_least_matches_single_stage(
+    model: &Model,
+    cluster: &Cluster,
+) -> Result<(), TestCaseError> {
+    let params = CostParams::wifi_50mbps();
+    let cm = params.cost_model(model);
+    let plan = PicoPlanner::new()
+        .plan(&PlanRequest::new(model, cluster, &params))
+        .expect("plans");
+    let metrics = cm.evaluate(&plan, cluster);
+    // Single stage over the averaged cluster with every device.
+    // The DP optimizes on the averaged cluster, then Algorithm 2
+    // re-maps to the real devices, which can shift the period by a
+    // few percent — the bound is therefore loose, catching only
+    // structural regressions.
+    let single = cm.even_stage_cost(model.full_segment(), &cluster.averaged(), cluster.len());
+    prop_assert!(
+        metrics.period <= single.total() * 1.25 + 1e-9,
+        "pico {} single {}",
+        metrics.period,
+        single.total()
+    );
+    Ok(())
+}
+
+fn check_cost_model_scales_linearly(model: &Model, cluster: &Cluster) -> Result<(), TestCaseError> {
+    let params = CostParams::new(50e6);
+    let plan = PicoPlanner::new()
+        .plan(&PlanRequest::new(model, cluster, &params))
+        .expect("plans");
+    let m1 = params.cost_model(model).evaluate(&plan, cluster);
+    let fast: Cluster = cluster
+        .devices()
+        .iter()
+        .map(|d| Device::new(d.id, d.name.clone(), d.capacity * 2.0).with_alpha(d.alpha))
+        .collect();
+    let fast_params = CostParams::new(100e6);
+    let m2 = fast_params.cost_model(model).evaluate(&plan, &fast);
+    prop_assert!((m2.period - m1.period / 2.0).abs() < 1e-9 * m1.period.max(1.0));
+    prop_assert!((m2.latency - m1.latency / 2.0).abs() < 1e-9 * m1.latency.max(1.0));
+    Ok(())
+}
+
+fn check_redundancy_accounting_is_exact(
+    model: &Model,
+    cluster: &Cluster,
+) -> Result<(), TestCaseError> {
+    use pico_partition::redundancy::stage_work;
+    let params = CostParams::wifi_50mbps();
+    let plan = PicoPlanner::new()
+        .plan(&PlanRequest::new(model, cluster, &params))
+        .expect("plans");
+    for stage in &plan.stages {
+        let work = stage_work(model, stage);
+        let computed: f64 = work.iter().map(|w| w.total_flops).sum();
+        let redundant: f64 = work.iter().map(|w| w.redundant_flops).sum();
+        let out = model.unit_output_shape(stage.segment.end - 1);
+        // Compare against the fully lazy (rows AND cols) trace: the
+        // region bookkeeping skips edge columns strided layers never
+        // read, exactly like the engine does.
+        let lazy = model.segment_region_flops(
+            stage.segment,
+            pico_model::Region2::full(out.height, out.width),
+        );
+        prop_assert!(
+            (computed - redundant - lazy).abs() <= 1e-6 * lazy.max(1.0),
+            "computed {computed} redundant {redundant} lazy {lazy}"
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -98,22 +170,7 @@ proptest! {
         model in arb_model(),
         cluster in arb_cluster(),
     ) {
-        let params = CostParams::wifi_50mbps();
-        let cm = params.cost_model(&model);
-        let plan = PicoPlanner::new().plan(&PlanRequest::new(&model, &cluster, &params)).expect("plans");
-        let metrics = cm.evaluate(&plan, &cluster);
-        // Single stage over the averaged cluster with every device.
-        // The DP optimizes on the averaged cluster, then Algorithm 2
-        // re-maps to the real devices, which can shift the period by a
-        // few percent — the bound is therefore loose, catching only
-        // structural regressions.
-        let single = cm.even_stage_cost(model.full_segment(), &cluster.averaged(), cluster.len());
-        prop_assert!(
-            metrics.period <= single.total() * 1.25 + 1e-9,
-            "pico {} single {}",
-            metrics.period,
-            single.total()
-        );
+        check_pico_at_least_matches_single_stage(&model, &cluster)?;
     }
 
     /// Capacity scaling invariance: doubling every device's speed and
@@ -121,44 +178,14 @@ proptest! {
     /// their relative quality — period exactly halves for the same plan.
     #[test]
     fn cost_model_scales_linearly(model in arb_model(), cluster in arb_cluster()) {
-        let params = CostParams::new(50e6);
-        let plan = PicoPlanner::new().plan(&PlanRequest::new(&model, &cluster, &params)).expect("plans");
-        let m1 = params.cost_model(&model).evaluate(&plan, &cluster);
-        let fast: Cluster = cluster
-            .devices()
-            .iter()
-            .map(|d| Device::new(d.id, d.name.clone(), d.capacity * 2.0).with_alpha(d.alpha))
-            .collect();
-        let fast_params = CostParams::new(100e6);
-        let m2 = fast_params.cost_model(&model).evaluate(&plan, &fast);
-        prop_assert!((m2.period - m1.period / 2.0).abs() < 1e-9 * m1.period.max(1.0));
-        prop_assert!((m2.latency - m1.latency / 2.0).abs() < 1e-9 * m1.latency.max(1.0));
+        check_cost_model_scales_linearly(&model, &cluster)?;
     }
 
     /// The redundancy bookkeeping is exact: per-stage totals minus
     /// redundancy equal the lazy monolithic cost.
     #[test]
     fn redundancy_accounting_is_exact(model in arb_model(), cluster in arb_cluster()) {
-        use pico_partition::redundancy::stage_work;
-        let params = CostParams::wifi_50mbps();
-        let plan = PicoPlanner::new().plan(&PlanRequest::new(&model, &cluster, &params)).expect("plans");
-        for stage in &plan.stages {
-            let work = stage_work(&model, stage);
-            let computed: f64 = work.iter().map(|w| w.total_flops).sum();
-            let redundant: f64 = work.iter().map(|w| w.redundant_flops).sum();
-            let out = model.unit_output_shape(stage.segment.end - 1);
-            // Compare against the fully lazy (rows AND cols) trace: the
-            // region bookkeeping skips edge columns strided layers never
-            // read, exactly like the engine does.
-            let lazy = model.segment_region_flops(
-                stage.segment,
-                pico_model::Region2::full(out.height, out.width),
-            );
-            prop_assert!(
-                (computed - redundant - lazy).abs() <= 1e-6 * lazy.max(1.0),
-                "computed {computed} redundant {redundant} lazy {lazy}"
-            );
-        }
+        check_redundancy_accounting_is_exact(&model, &cluster)?;
     }
 }
 
@@ -188,5 +215,44 @@ proptest! {
         let pico_period = cm.evaluate(&pico, &cluster).period;
         prop_assert!(bfs.period <= pico_period * 1.0001,
             "bfs {} pico {pico_period}", bfs.period);
+    }
+}
+
+/// The two shrunk counter-examples proptest recorded for this file,
+/// pinned as plain cases. The record names the `(model, cluster)` inputs
+/// but not which property drew them, so each runs through all three
+/// properties of that signature.
+#[test]
+fn recorded_counterexamples_hold() {
+    let chain = |units: Vec<pico_model::Unit>| {
+        Model::new("prop", Shape::new(3, 48, 48), units).expect("chain is consistent")
+    };
+    let cluster = |freqs: &[f64]| {
+        Cluster::new(
+            freqs
+                .iter()
+                .enumerate()
+                .map(|(i, f)| Device::from_frequency(i, *f))
+                .collect(),
+        )
+    };
+    let pool = |name: &str| Layer::pool(name, PoolSpec::max(2, 2)).into();
+    let cases = [
+        (chain(vec![pool("p0")]), cluster(&[0.4, 1.515323571947985])),
+        (
+            chain(vec![
+                Layer::conv("c0", ConvSpec::square(3, 8, 3, 2, 0)).into(),
+                pool("p1"),
+            ]),
+            cluster(&[0.4]),
+        ),
+    ];
+    for (model, cluster) in &cases {
+        assert_eq!(
+            check_pico_at_least_matches_single_stage(model, cluster),
+            Ok(())
+        );
+        assert_eq!(check_cost_model_scales_linearly(model, cluster), Ok(()));
+        assert_eq!(check_redundancy_accounting_is_exact(model, cluster), Ok(()));
     }
 }

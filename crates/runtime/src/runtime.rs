@@ -1,6 +1,6 @@
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 #[cfg(test)]
 use pico_model::Rows;
 use pico_model::{Model, Region2, Segment};
@@ -167,7 +167,7 @@ struct Attempt {
 /// retry on surviving workers when retry knobs are installed.
 struct StageCoordinator {
     stage: usize,
-    work_tx: Vec<Sender<WorkUnit>>,
+    work_tx: Vec<SyncSender<WorkUnit>>,
     done_rx: Vec<Receiver<DoneMsg>>,
     in_regions: Vec<Region2>,
     devices: Vec<usize>,
@@ -414,7 +414,7 @@ impl StageCoordinator {
     fn serve(
         mut self,
         rx_in: Receiver<StageMsg>,
-        tx_out: Sender<StageMsg>,
+        tx_out: SyncSender<StageMsg>,
         seed_tasks: usize,
         seed_busy: f64,
     ) -> CoordOutcome {
@@ -847,9 +847,10 @@ impl<'a> PipelineRuntime<'a> {
 
     /// Spawns every stage's workers and coordinator onto `scope`, wired
     /// with bounded inter-stage queues. Returns the stage-0 feeder, the
-    /// final-stage sink, and the coordinator join handles; all other
-    /// channel endpoints are dropped here so the pipeline drains (and
-    /// the coordinators exit) as soon as both returned endpoints go.
+    /// final-stage sink, and the coordinator join handles; every other
+    /// channel endpoint is owned by the one thread that uses it, so the
+    /// pipeline drains (and the coordinators exit) as soon as both
+    /// returned endpoints go.
     fn spawn_stages<'env, 'scope>(
         &'env self,
         scope: &'scope std::thread::Scope<'scope, 'env>,
@@ -859,26 +860,21 @@ impl<'a> PipelineRuntime<'a> {
         knobs: Option<RetryKnobs>,
         prior_stats: &[StageStat],
     ) -> (
-        Sender<StageMsg>,
+        SyncSender<StageMsg>,
         Receiver<StageMsg>,
         Vec<std::thread::ScopedJoinHandle<'scope, CoordOutcome>>,
     ) {
         let stage_count = specs.len();
         let rec = &self.recorder;
         let enabled = rec.is_enabled();
-        // Inter-stage queues: entry i feeds stage i; the last feeds the
+        // Inter-stage queues: queue i feeds stage i; the last feeds the
         // collector. Always bounded: the default depth approximates the
         // paper's infinite-queue assumption for well-provisioned
         // streams, while `channel_capacity` tightens it for
-        // backpressure experiments.
-        let cap = self.channel_capacity.unwrap_or(DEFAULT_CHANNEL_CAPACITY);
-        let mut senders: Vec<Sender<StageMsg>> = Vec::with_capacity(stage_count + 1);
-        let mut receivers: Vec<Receiver<StageMsg>> = Vec::with_capacity(stage_count + 1);
-        for _ in 0..=stage_count {
-            let (tx, rx) = bounded::<StageMsg>(cap);
-            senders.push(tx);
-            receivers.push(rx);
-        }
+        // backpressure experiments. Each stage opens the queue it
+        // writes, and `rx_in` carries its read end to the next one.
+        let queue_cap = self.channel_capacity.unwrap_or(DEFAULT_CHANNEL_CAPACITY);
+        let (feeder, mut rx_in) = sync_channel::<StageMsg>(queue_cap);
 
         // Coordinators hand their stats back through join handles —
         // no shared mutex on the serving path.
@@ -888,12 +884,12 @@ impl<'a> PipelineRuntime<'a> {
             // Scatter/gather channels, sized to the worker count so
             // one survivor can hold every rerouted shard of a task
             // without blocking the coordinator.
-            let cap = workers.len().max(1);
-            let mut work_tx: Vec<Sender<WorkUnit>> = Vec::new();
+            let fan = workers.len().max(1);
+            let mut work_tx: Vec<SyncSender<WorkUnit>> = Vec::new();
             let mut done_rx: Vec<Receiver<DoneMsg>> = Vec::new();
             for spec in workers.iter() {
-                let (wtx, wrx) = bounded::<WorkUnit>(cap);
-                let (dtx, drx) = bounded::<DoneMsg>(cap);
+                let (wtx, wrx) = sync_channel::<WorkUnit>(fan);
+                let (dtx, drx) = sync_channel::<DoneMsg>(fan);
                 work_tx.push(wtx);
                 done_rx.push(drx);
                 let device = spec.device;
@@ -975,17 +971,14 @@ impl<'a> PipelineRuntime<'a> {
                 dead: vec![false; workers.len()],
                 failures: Vec::new(),
             };
-            let rx_in = receivers[s].clone();
-            let tx_out = senders[s + 1].clone();
-            coord_handles
-                .push(scope.spawn(move || coordinator.serve(rx_in, tx_out, seed_tasks, seed_busy)));
+            let (tx_out, rx_out) = sync_channel::<StageMsg>(queue_cap);
+            let rx_stage = std::mem::replace(&mut rx_in, rx_out);
+            coord_handles.push(
+                scope.spawn(move || coordinator.serve(rx_stage, tx_out, seed_tasks, seed_busy)),
+            );
         }
 
-        let feeder = senders[0].clone();
-        let sink = receivers[stage_count].clone();
-        drop(senders);
-        drop(receivers);
-        (feeder, sink, coord_handles)
+        (feeder, rx_in, coord_handles)
     }
 
     /// Opens a submittable execution session over this runtime's plan:
@@ -1076,7 +1069,7 @@ impl<'a> PipelineRuntime<'a> {
 /// submissions, so a serving layer can trickle micro-batches through
 /// without paying a pipeline spawn per batch.
 pub struct ExecutionSession {
-    feeder: Sender<StageMsg>,
+    feeder: SyncSender<StageMsg>,
     sink: Receiver<StageMsg>,
     expect_shape: pico_model::Shape,
     stage_count: usize,
@@ -1710,12 +1703,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn pipeline_overlaps_stage_sleeps() {
-        // Stage overlap is observable even on a single-core host: with
-        // a throttle whose sleeps dominate compute, N tasks through a
-        // 2-stage pipeline take ~(N+1) * stage_time, not the sequential
-        // 2N * stage_time.
+    /// Two single-conv stages, one device each: every scatter/gather
+    /// channel is one deep.
+    fn two_stage_chain() -> (Model, Plan) {
         let m = pico_model::Model::new(
             "small",
             pico_model::Shape::new(4, 12, 12),
@@ -1725,12 +1715,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let c = Cluster::pi_cluster(2, 1.0);
-        // Effectively free network: the throttle should sleep for
-        // compute only, and both stages sleep equally long.
-        let p = CostParams::new(1e15);
         let h = m.output_shape().height;
-        // Hand-built 2-stage pipeline, one device each.
         let plan = Plan::new(
             pico_partition::Scheme::Pico,
             pico_partition::ExecutionMode::Pipelined,
@@ -1745,6 +1730,69 @@ mod tests {
                 ),
             ],
         );
+        (m, plan)
+    }
+
+    #[test]
+    fn every_inter_stage_queue_has_the_configured_depth() {
+        // Regression: the queues after stage 0 were once sized by the
+        // stage's worker count instead of `channel_capacity`. With the
+        // sink unread, a 2-stage pipeline absorbs exactly one full
+        // queue per hop (feeder, stage 0 -> 1, sink) plus the one task
+        // each coordinator holds while its output queue is full.
+        let (m, plan) = two_stage_chain();
+        let engine = Engine::with_seed(&m, 5);
+        let depth = 8;
+        let runtime = PipelineRuntime::builder(&m, &plan, &engine)
+            .channel_capacity(depth)
+            .build();
+        let stages = plan.stage_count();
+        let buffered = (stages + 1) * depth;
+        let input = Tensor::random(m.input_shape(), 1);
+        let ((), report) = runtime
+            .session(|sess| {
+                // Slowness can only delay acceptance, never add to it:
+                // wait long for the queues to fill, then briefly for
+                // one task too many.
+                let mut accepted = 0usize;
+                let mut deadline = Instant::now() + Duration::from_secs(20);
+                while Instant::now() < deadline {
+                    match sess.feeder.try_send(Ok((accepted, input.clone()))) {
+                        Ok(()) => {
+                            accepted += 1;
+                            if accepted == buffered + stages {
+                                deadline = Instant::now() + Duration::from_millis(300);
+                            }
+                        }
+                        Err(TrySendError::Full(_)) => std::thread::sleep(Duration::from_millis(1)),
+                        Err(TrySendError::Disconnected(_)) => panic!("pipeline went away"),
+                    }
+                }
+                assert_eq!(accepted, buffered + stages);
+                for task in 0..accepted {
+                    let (got, _) = sess.sink.recv().unwrap()?;
+                    assert_eq!(got, task);
+                }
+                Ok(())
+            })
+            .unwrap();
+        for st in &report.stage_stats {
+            assert_eq!(st.tasks, buffered + stages, "stage {}", st.stage);
+        }
+    }
+
+    #[test]
+    fn pipeline_overlaps_stage_sleeps() {
+        // Stage overlap is observable even on a single-core host: with
+        // a throttle whose sleeps dominate compute, N tasks through a
+        // 2-stage pipeline take ~(N+1) * stage_time, not the sequential
+        // 2N * stage_time.
+        let (m, plan) = two_stage_chain();
+        let c = Cluster::pi_cluster(2, 1.0);
+        // Effectively free network: the throttle should sleep for
+        // compute only, and both stages sleep equally long.
+        let p = CostParams::new(1e15);
+        let h = m.output_shape().height;
         let engine = Engine::with_seed(&m, 2);
         // Scale so each stage sleeps ~40 ms (compute is microseconds).
         let stage_flops = m.segment_flops(Segment::new(0, 1), Rows::full(h));

@@ -1,9 +1,9 @@
 use std::sync::atomic::Ordering;
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use pico_audit::Auditor;
 use pico_fleet::FleetFrontier;
 use pico_model::Model;
@@ -14,7 +14,7 @@ use pico_telemetry::{names, Ctx};
 use pico_tensor::{Engine, Tensor};
 
 use crate::front::{commit_switch, Drained};
-use crate::state::{QueuedTask, ServeState};
+use crate::state::{enter, QueuedTask, ServeState};
 use crate::{ServeError, ServeRequest};
 
 /// Control messages from handles to the server thread. The channel is
@@ -23,13 +23,13 @@ use crate::{ServeError, ServeRequest};
 /// pending — the flush tick picks up the slack.
 enum Ctrl {
     Nudge,
-    Swap(Plan, Sender<Result<(), ServeError>>),
+    Swap(Plan, SyncSender<Result<(), ServeError>>),
     Close,
 }
 
 enum EpochExit {
     Close,
-    Swap(Plan, Sender<Result<(), ServeError>>),
+    Swap(Plan, SyncSender<Result<(), ServeError>>),
     /// The re-planning kernel wants this switch: the epoch has drained
     /// and the audited swap happens at the epoch boundary.
     Replan(SwitchRecord),
@@ -72,7 +72,7 @@ impl ServeTicket {
 /// never a blocked caller.
 pub struct ServeHandle {
     state: Arc<ServeState>,
-    ctrl: Sender<Ctrl>,
+    ctrl: SyncSender<Ctrl>,
     thread: Option<JoinHandle<Result<ServeOutcome, ServeError>>>,
 }
 
@@ -147,7 +147,7 @@ impl ServeHandle {
     ) -> ServeHandle {
         let state = Arc::new(ServeState::new(request, adaptive));
         // Depth 2: one pending nudge plus room for a control message.
-        let (ctrl_tx, ctrl_rx) = bounded(2);
+        let (ctrl_tx, ctrl_rx) = sync_channel(2);
         let thread_state = Arc::clone(&state);
         let seed = request.engine_seed();
         let tick = request.flush_interval();
@@ -194,7 +194,7 @@ impl ServeHandle {
     /// [`ServeError::SwapRejected`] with the audit errors, or
     /// [`ServeError::Closed`] if the server is gone.
     pub fn swap(&self, plan: Plan) -> Result<(), ServeError> {
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = sync_channel(1);
         self.ctrl
             .send(Ctrl::Swap(plan, tx))
             .map_err(|_| ServeError::Closed)?;
@@ -292,7 +292,7 @@ fn run_server(
                 let Some((kernel, fleet)) = &state.replan else {
                     continue;
                 };
-                let mut kernel = kernel.lock();
+                let mut kernel = enter(kernel.lock());
                 let next = &fleet.entries()[record.to].plan;
                 let replan = Some((&mut *kernel, record.lambda));
                 // A refusal is unreachable while the kernel only proposes
@@ -304,7 +304,7 @@ fn run_server(
             }
         }
     }
-    let per_tenant = state.ledger.lock().stats();
+    let per_tenant = enter(state.ledger.lock()).stats();
     Ok(ServeOutcome {
         per_tenant,
         batches,
@@ -324,8 +324,8 @@ fn pump(
     force: bool,
 ) -> Result<(), RuntimeError> {
     loop {
-        let target = state.batcher.lock().target().max(1);
-        let mut ledger = state.ledger.lock();
+        let target = enter(state.batcher.lock()).target().max(1);
+        let mut ledger = enter(state.ledger.lock());
         let total = ledger.total_queued();
         if total == 0 || (!force && total < target) {
             return Ok(());
@@ -333,7 +333,7 @@ fn pump(
         let order = ledger.compose(target);
         let mut tasks: Vec<(usize, QueuedTask)> = Vec::with_capacity(order.len());
         for t in order {
-            let Some(task) = state.queues[t].lock().pop_front() else {
+            let Some(task) = enter(state.queues[t].lock()).pop_front() else {
                 // Unreachable while admit holds the ledger lock across
                 // its queue push; recover by undoing the claim.
                 ledger.complete(t, 1);
@@ -362,7 +362,7 @@ fn pump(
                 return Err(e);
             }
         };
-        let mut ledger = state.ledger.lock();
+        let mut ledger = enter(state.ledger.lock());
         for ((t, qt), out) in tasks.into_iter().zip(outputs) {
             ledger.complete(t, 1);
             let _ = qt.reply.try_send(Ok(out));
@@ -377,7 +377,7 @@ fn pump(
 /// pipeline failure, so no ticket hangs.
 fn fail_queued(state: &ServeState, e: &RuntimeError) {
     for queue in &state.queues {
-        let mut queue = queue.lock();
+        let mut queue = enter(queue.lock());
         while let Some(task) = queue.pop_front() {
             let _ = task.reply.try_send(Err(ServeError::Runtime(e.clone())));
         }

@@ -1,10 +1,9 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{Arc, LockResult, Mutex, PoisonError};
 use std::time::Instant;
 
-use crossbeam::channel::{bounded, Receiver, Sender};
-use parking_lot::Mutex;
 use pico_fleet::FleetFrontier;
 use pico_sim::{AdaptiveBatcher, AdmissionLedger, ReplanKernel, SwitchRecord, SwitchSource};
 use pico_telemetry::{clock, names, Ctx, Recorder};
@@ -12,11 +11,18 @@ use pico_tensor::Tensor;
 
 use crate::{ServeError, ServeRequest};
 
+/// Enters a lock whether or not an earlier holder panicked: one
+/// panicking submitter must not wedge the other tenants, nor keep
+/// shutdown from reaching the queues to fail the tasks left in them.
+pub(crate) fn enter<G>(guard: LockResult<G>) -> G {
+    guard.unwrap_or_else(PoisonError::into_inner)
+}
+
 /// One admitted task waiting in a tenant queue: its input and the
 /// channel its output (or failure) is delivered on.
 pub(crate) struct QueuedTask {
     pub(crate) input: Tensor,
-    pub(crate) reply: Sender<Result<Tensor, ServeError>>,
+    pub(crate) reply: SyncSender<Result<Tensor, ServeError>>,
 }
 
 /// Intake state shared (via `Arc`) between every [`crate::ServeHandle`]
@@ -63,7 +69,7 @@ impl ServeState {
     /// not yet committed or rejected, if any.
     pub(crate) fn replan_due(&self) -> Option<SwitchRecord> {
         let (kernel, _) = self.replan.as_ref()?;
-        kernel.lock().due(self.now())
+        enter(kernel.lock()).due(self.now())
     }
 
     /// Seconds since the front-end started — the telemetry timebase.
@@ -89,17 +95,15 @@ impl ServeState {
             });
         }
         let t = self.now();
-        let mut ledger = self.ledger.lock();
+        let mut ledger = enter(self.ledger.lock());
         match ledger.offer(tenant) {
             Ok(depth) => {
-                let (tx, rx) = bounded(1);
-                self.queues[tenant]
-                    .lock()
-                    .push_back(QueuedTask { input, reply: tx });
+                let (tx, rx) = sync_channel(1);
+                enter(self.queues[tenant].lock()).push_back(QueuedTask { input, reply: tx });
                 drop(ledger);
-                self.batcher.lock().observe_arrival(t);
+                enter(self.batcher.lock()).observe_arrival(t);
                 if let Some((kernel, _)) = &self.replan {
-                    kernel.lock().admitted(t, &self.rec);
+                    enter(kernel.lock()).admitted(t, &self.rec);
                 }
                 self.rec
                     .instant_at(names::TASK_ADMITTED, Ctx::tenant(tenant), t, depth as f64);

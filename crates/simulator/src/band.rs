@@ -8,10 +8,8 @@
 //! between — the band type exists so analyses and the DES agree on
 //! what "the workload" means.
 
-use serde::{Deserialize, Serialize};
-
 /// A closed arrival-rate interval `[lo, hi]` in tasks per second.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadBand {
     /// Lowest expected arrival rate (tasks/s).
     pub lo: f64,

@@ -1,7 +1,7 @@
+use pico_model::rng::SplitMix64;
 use pico_model::{Model, Rows};
 use pico_partition::{redundancy, Assignment, Cluster, CostParams, ExecutionMode, Plan, Stage};
 use pico_telemetry::{names, Ctx, Recorder};
-use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::{Arrivals, SimReport};
 
@@ -339,7 +339,7 @@ impl<'a> Simulation<'a> {
         let mut last_completion: f64 = 0.0;
         let mut rng = self
             .jitter
-            .map(|(j, seed)| (j, StdRng::seed_from_u64(seed)));
+            .map(|(j, seed)| (j, SplitMix64::seed_from_u64(seed)));
         let rec = &self.recorder;
         let enabled = rec.is_enabled();
 
@@ -386,7 +386,7 @@ impl<'a> Simulation<'a> {
                 let station = slot.as_ref()?;
                 let stretch = match &mut rng {
                     Some((j, r)) => {
-                        let u: f64 = r.gen_range(f64::EPSILON..1.0);
+                        let u: f64 = r.range_f64(f64::EPSILON..1.0);
                         1.0 + (-u.ln()) * *j
                     }
                     None => 1.0,

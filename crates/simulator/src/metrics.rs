@@ -1,7 +1,5 @@
-use serde::{Deserialize, Serialize};
-
 /// Per-device outcome of a simulation run (the Table I columns).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceStat {
     /// Device id.
     pub device: usize,
@@ -15,7 +13,7 @@ pub struct DeviceStat {
 }
 
 /// Outcome of one simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     /// Tasks completed.
     pub completed: usize,

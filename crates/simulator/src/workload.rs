@@ -10,7 +10,7 @@
 //! * [`diurnal`] — a smooth sinusoidal day/night rate curve sampled via
 //!   thinning.
 
-use rand::{rngs::StdRng, Rng, SeedableRng};
+use pico_model::rng::SplitMix64;
 
 use crate::Arrivals;
 
@@ -39,14 +39,14 @@ pub fn phases(segments: &[(f64, f64)], seed: u64) -> Arrivals {
         segments.iter().all(|(r, d)| *r >= 0.0 && *d > 0.0),
         "rates must be >= 0, durations > 0"
     );
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::seed_from_u64(seed);
     let mut times = Vec::new();
     let mut t0 = 0.0;
     for (rate, duration) in segments {
         if *rate > 0.0 {
             let mut t = t0;
             loop {
-                let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+                let u: f64 = rng.range_f64(f64::EPSILON..1.0);
                 t += -u.ln() / rate;
                 if t > t0 + duration {
                     break;
@@ -80,19 +80,19 @@ pub fn bursty(
         quiet_dwell > 0.0 && burst_dwell > 0.0 && horizon > 0.0,
         "dwells and horizon must be positive"
     );
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::seed_from_u64(seed);
     let mut times = Vec::new();
     let mut t = 0.0;
     let mut in_burst = false;
     while t < horizon {
         let dwell_mean = if in_burst { burst_dwell } else { quiet_dwell };
-        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+        let u: f64 = rng.range_f64(f64::EPSILON..1.0);
         let dwell = (-u.ln() * dwell_mean).min(horizon - t);
         let rate = if in_burst { burst_rate } else { quiet_rate };
         if rate > 0.0 {
             let mut s = t;
             loop {
-                let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+                let u: f64 = rng.range_f64(f64::EPSILON..1.0);
                 s += -u.ln() / rate;
                 if s > t + dwell {
                     break;
@@ -122,19 +122,19 @@ pub fn diurnal(base: f64, depth: f64, period: f64, horizon: f64, seed: u64) -> A
         "period and horizon must be positive"
     );
     let peak = base * (1.0 + depth);
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::seed_from_u64(seed);
     let mut times = Vec::new();
     let mut t = 0.0;
     loop {
         // Thinning: propose at the peak rate, accept proportionally.
-        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+        let u: f64 = rng.range_f64(f64::EPSILON..1.0);
         t += -u.ln() / peak;
         if t > horizon {
             break;
         }
         let rate =
             (base * (1.0 + depth * (2.0 * std::f64::consts::PI * t / period).sin())).max(0.0);
-        if rng.gen_range(0.0..1.0) < rate / peak {
+        if rng.range_f64(0.0..1.0) < rate / peak {
             times.push(t);
         }
     }

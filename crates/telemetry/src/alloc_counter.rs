@@ -26,19 +26,35 @@
 /// }
 /// ```
 ///
-/// The counter is global to the process; in multi-threaded tests,
-/// deltas include every thread's allocations.
+/// The counter is global to the process: a delta includes every
+/// thread's allocations — a neighbouring `#[test]`'s among them, so a
+/// binary asserting a zero holds one test — except the harness's main
+/// thread's, which allocates beside the test it waits for.
 #[macro_export]
 macro_rules! install_counting_allocator {
     () => {
         static __PICO_ALLOCATIONS: ::std::sync::atomic::AtomicUsize =
             ::std::sync::atomic::AtomicUsize::new(0);
+        static __PICO_FIRST_CALL: ::std::sync::Once = ::std::sync::Once::new();
+        ::std::thread_local! {
+            static __PICO_MAIN_THREAD: ::std::cell::Cell<bool> =
+                const { ::std::cell::Cell::new(false) };
+        }
+
+        /// Counts one allocator call unless the main thread makes it:
+        /// the one that makes the process's first, before another exists.
+        fn __pico_count_allocation() {
+            __PICO_FIRST_CALL.call_once(|| __PICO_MAIN_THREAD.with(|main| main.set(true)));
+            if !__PICO_MAIN_THREAD.with(::std::cell::Cell::get) {
+                __PICO_ALLOCATIONS.fetch_add(1, ::std::sync::atomic::Ordering::SeqCst);
+            }
+        }
 
         struct __PicoCountingAlloc;
 
         unsafe impl ::std::alloc::GlobalAlloc for __PicoCountingAlloc {
             unsafe fn alloc(&self, layout: ::std::alloc::Layout) -> *mut u8 {
-                __PICO_ALLOCATIONS.fetch_add(1, ::std::sync::atomic::Ordering::SeqCst);
+                __pico_count_allocation();
                 ::std::alloc::System.alloc(layout)
             }
 
@@ -52,7 +68,7 @@ macro_rules! install_counting_allocator {
                 layout: ::std::alloc::Layout,
                 new_size: usize,
             ) -> *mut u8 {
-                __PICO_ALLOCATIONS.fetch_add(1, ::std::sync::atomic::Ordering::SeqCst);
+                __pico_count_allocation();
                 ::std::alloc::System.realloc(ptr, layout, new_size)
             }
         }
@@ -63,6 +79,10 @@ macro_rules! install_counting_allocator {
         /// Allocator calls (`alloc` + `realloc`) since process start.
         #[allow(dead_code)]
         fn allocation_count() -> usize {
+            assert!(
+                !__PICO_MAIN_THREAD.with(::std::cell::Cell::get),
+                "a test on the main thread is not counted"
+            );
             __PICO_ALLOCATIONS.load(::std::sync::atomic::Ordering::SeqCst)
         }
     };

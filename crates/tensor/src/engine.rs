@@ -284,8 +284,8 @@ impl<'m> Engine<'m> {
     /// stream reach a steady state where the `Im2colGemm` backend
     /// allocates nothing but the returned tensor's buffer — and callers
     /// that hand even that back via [`Scratch::give`] allocate nothing
-    /// at all (asserted by the counting-allocator regression test; see
-    /// `tests/alloc_regression.rs`). Graph-structured blocks still
+    /// at all (asserted by the counting-allocator regression tests; see
+    /// `tests/alloc_regression*.rs`). Graph-structured blocks still
     /// allocate small per-path bookkeeping; the zero-allocation
     /// guarantee covers plain-layer chains. The `Reference` backend
     /// ignores the pool's recycled buffers.

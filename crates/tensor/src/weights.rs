@@ -1,5 +1,5 @@
+use pico_model::rng::SplitMix64;
 use pico_model::{LayerKind, Merge, Model, Region2, Rows, Shape, Unit};
-use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::{ops, Tensor, TensorError};
 
@@ -51,7 +51,7 @@ pub struct NetworkWeights {
 impl NetworkWeights {
     /// Generates weights for `model` from `seed`.
     pub fn generate(model: &Model, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = SplitMix64::seed_from_u64(seed);
         let units = model
             .units()
             .iter()
@@ -88,16 +88,16 @@ impl NetworkWeights {
     }
 }
 
-fn layer_weights(kind: &LayerKind, rng: &mut StdRng) -> LayerWeights {
+fn layer_weights(kind: &LayerKind, rng: &mut SplitMix64) -> LayerWeights {
     match kind {
         LayerKind::Conv(c) => {
             let fan_in = (c.kernel.0 * c.kernel.1 * c.in_per_group()) as f32;
             let s = (3.0 / fan_in).sqrt();
             let n = c.out_channels * c.in_per_group() * c.kernel.0 * c.kernel.1;
             LayerWeights {
-                kernel: (0..n).map(|_| rng.gen_range(-s..s)).collect(),
+                kernel: (0..n).map(|_| rng.range_f32(-s..s)).collect(),
                 bias: (0..c.out_channels)
-                    .map(|_| rng.gen_range(-0.01..0.01))
+                    .map(|_| rng.range_f32(-0.01..0.01))
                     .collect(),
             }
         }
@@ -105,10 +105,10 @@ fn layer_weights(kind: &LayerKind, rng: &mut StdRng) -> LayerWeights {
             let s = (3.0 / fc.in_features as f32).sqrt();
             LayerWeights {
                 kernel: (0..fc.in_features * fc.out_features)
-                    .map(|_| rng.gen_range(-s..s))
+                    .map(|_| rng.range_f32(-s..s))
                     .collect(),
                 bias: (0..fc.out_features)
-                    .map(|_| rng.gen_range(-0.01..0.01))
+                    .map(|_| rng.range_f32(-0.01..0.01))
                     .collect(),
             }
         }

@@ -1,183 +1,33 @@
-//! Steady-state allocation regression tests for the fast backends —
-//! scalar `Im2colGemm`, parallel `Simd` (pool threads included), and
-//! `Int8`.
+//! Steady-state allocation regression test for the scalar fast backend
+//! (`Im2colGemm`); `alloc_regression_simd.rs` and
+//! `alloc_regression_int8.rs` hold the parallel `Simd` and `Int8` ones.
 //!
-//! A worker that keeps one [`Scratch`] across its task stream and hands
-//! result buffers back via [`Scratch::give`] must reach a state where
-//! an inference task performs **zero** heap allocations: the patch
-//! matrix, the output buffers, and the per-call region trace are all
-//! pooled. This test counts every `alloc`/`realloc` in the process via
-//! the shared counting-allocator harness and asserts the delta is
-//! exactly zero — any new allocation on the hot path (like the region
-//! trace this test originally caught) fails it.
+//! A worker that keeps one [`Scratch`](pico_tensor::Scratch) across its
+//! task stream and hands result buffers back via `Scratch::give` must
+//! reach a state where an inference task performs **zero** heap
+//! allocations: the patch matrix, the output buffers, and the per-call
+//! region trace are all pooled. This test counts every
+//! `alloc`/`realloc` in the process via the shared counting-allocator
+//! harness and asserts the delta is exactly zero — any new allocation
+//! on the hot path (like the region trace this test originally caught)
+//! fails it.
 //!
 //! The guarantee covers plain-layer chains; graph-structured blocks
-//! keep small per-path bookkeeping and are out of scope here. This
-//! test lives in its own binary so no other test's allocations pollute
-//! the counter.
+//! keep small per-path bookkeeping and are out of scope here.
 
-use pico_model::{ConvSpec, Layer, Model, PoolSpec, Region2, Shape};
-use pico_tensor::{Engine, EngineBackend, Scratch, Tensor};
+use pico_tensor::{Engine, EngineBackend};
+
+mod steady_state;
 
 pico_telemetry::install_counting_allocator!();
 
-fn chain() -> Model {
-    Model::new(
-        "alloc-chain",
-        Shape::new(8, 16, 16),
-        vec![
-            Layer::conv("c1", ConvSpec::square(8, 16, 3, 1, 1)).into(),
-            Layer::pool("p1", PoolSpec::max(2, 2)).into(),
-            Layer::conv("c2", ConvSpec::square(16, 16, 3, 1, 1)).into(),
-        ],
-    )
-    .expect("chain is consistent")
-}
-
 #[test]
 fn steady_state_inference_performs_zero_allocations() {
-    let model = chain();
+    let model = steady_state::chain();
     let engine = Engine::with_seed(&model, 42).with_backend(EngineBackend::Im2colGemm);
-    let seg = model.full_segment();
-    let out = model.output_shape();
-    let region = Region2::full(out.height, out.width);
-    let input = Tensor::random(model.input_shape(), 7);
-
-    let mut scratch = Scratch::new();
-    // Warm the pool: the first few tasks grow the patch matrix, the
-    // output buffers, and the region trace to their steady-state sizes.
-    for _ in 0..4 {
-        let t = engine
-            .infer_region2_with(&mut scratch, seg, region, &input)
-            .expect("inference works");
-        scratch.give(t.into_vec());
-    }
-
-    let before = allocation_count();
-    for _ in 0..16 {
-        let t = engine
-            .infer_region2_with(&mut scratch, seg, region, &input)
-            .expect("inference works");
-        scratch.give(t.into_vec());
-    }
-    let delta = allocation_count() - before;
+    let delta = steady_state::steady_state_allocations(&engine, allocation_count);
     assert_eq!(
         delta, 0,
         "steady-state fast-backend inference allocated {delta} times"
-    );
-}
-
-#[test]
-fn parallel_simd_steady_state_performs_zero_allocations() {
-    // The parallel SIMD path must hit the same zero-allocation steady
-    // state as the scalar fast backend: the pool's workers are spawned
-    // once at engine build, `ThreadPool::run` dispatches chunks through
-    // preallocated shared state (no channels, no boxing per call), and
-    // every buffer comes from the caller's `Scratch`. A zero delta here
-    // also proves the pool *reuses* its threads — spawning a thread
-    // allocates, so any per-task respawn would fail this count.
-    let model = chain();
-    let engine = Engine::with_seed(&model, 42)
-        .with_backend(EngineBackend::Simd)
-        .with_threads(4);
-    let seg = model.full_segment();
-    let out = model.output_shape();
-    let region = Region2::full(out.height, out.width);
-    let input = Tensor::random(model.input_shape(), 7);
-
-    let mut scratch = Scratch::new();
-    for _ in 0..4 {
-        let t = engine
-            .infer_region2_with(&mut scratch, seg, region, &input)
-            .expect("inference works");
-        scratch.give(t.into_vec());
-    }
-
-    let before = allocation_count();
-    for _ in 0..16 {
-        let t = engine
-            .infer_region2_with(&mut scratch, seg, region, &input)
-            .expect("inference works");
-        scratch.give(t.into_vec());
-    }
-    let delta = allocation_count() - before;
-    assert_eq!(
-        delta, 0,
-        "steady-state parallel SIMD inference allocated {delta} times"
-    );
-}
-
-#[test]
-fn int8_steady_state_performs_zero_allocations() {
-    // Quantization tables are built once at `with_backend` time; the
-    // serving path only quantizes activations into the pooled
-    // `qpatches` buffer, so int8 inference is allocation-free too.
-    let model = chain();
-    let engine = Engine::with_seed(&model, 42).with_backend(EngineBackend::Int8);
-    let seg = model.full_segment();
-    let out = model.output_shape();
-    let region = Region2::full(out.height, out.width);
-    let input = Tensor::random(model.input_shape(), 7);
-
-    let mut scratch = Scratch::new();
-    for _ in 0..4 {
-        let t = engine
-            .infer_region2_with(&mut scratch, seg, region, &input)
-            .expect("inference works");
-        scratch.give(t.into_vec());
-    }
-
-    let before = allocation_count();
-    for _ in 0..16 {
-        let t = engine
-            .infer_region2_with(&mut scratch, seg, region, &input)
-            .expect("inference works");
-        scratch.give(t.into_vec());
-    }
-    let delta = allocation_count() - before;
-    assert_eq!(
-        delta, 0,
-        "steady-state int8 inference allocated {delta} times"
-    );
-}
-
-#[test]
-fn repeated_runs_are_bit_exact_for_every_thread_count() {
-    // Chunking is deterministic (disjoint MR-aligned row ranges, no
-    // cross-thread reduction), so the parallel SIMD result must be
-    // bit-identical run to run and thread count to thread count.
-    let model = chain();
-    let input = Tensor::random(model.input_shape(), 7);
-    let baseline = Engine::with_seed(&model, 42)
-        .with_backend(EngineBackend::Simd)
-        .infer(&input)
-        .expect("inference works");
-    for threads in [1usize, 2, 3, 4, 7] {
-        let engine = Engine::with_seed(&model, 42)
-            .with_backend(EngineBackend::Simd)
-            .with_threads(threads);
-        for run in 0..3 {
-            let got = engine.infer(&input).expect("inference works");
-            assert_eq!(got, baseline, "threads {threads} run {run}");
-        }
-    }
-}
-
-#[test]
-fn reference_backend_allocates_per_layer_as_documented() {
-    // The naive oracle is *expected* to allocate (one fresh output
-    // buffer per layer); this pins the contrast so a future "optimize
-    // the reference" change that breaks the oracle's simplicity shows
-    // up in review.
-    let model = chain();
-    let engine = Engine::with_seed(&model, 42).with_backend(EngineBackend::Reference);
-    let input = Tensor::random(model.input_shape(), 7);
-    let _ = engine.infer(&input).expect("inference works");
-
-    let before = allocation_count();
-    let _ = engine.infer(&input).expect("inference works");
-    assert!(
-        allocation_count() - before >= model.len(),
-        "reference backend should allocate at least one buffer per layer"
     );
 }

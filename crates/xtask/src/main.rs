@@ -650,7 +650,7 @@ fn lint_bounded_channels(root: &Path, violations: &mut Vec<Violation>) {
                         file: file.clone(),
                         line,
                         detail: format!(
-                            "`{pattern}` in the serving path; use `bounded(..)` so \
+                            "`{pattern}` in the serving path; use `sync_channel(..)` so \
                              backpressure surfaces at admission"
                         ),
                     });
