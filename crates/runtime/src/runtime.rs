@@ -1096,6 +1096,13 @@ impl ExecutionSession {
     /// session is poisoned: completed outputs of the failed batch are
     /// discarded and further submissions will keep erroring.
     pub fn submit(&mut self, inputs: &[Tensor]) -> Result<Vec<Tensor>, RuntimeError> {
+        self.submit_owned(inputs.to_vec())
+    }
+
+    /// [`submit`](Self::submit) for a caller that can give its inputs
+    /// away: each tensor moves into the stage-0 queue as it is, so the
+    /// batch is fed without a copy. Same errors, same poisoning.
+    pub fn submit_owned(&mut self, inputs: Vec<Tensor>) -> Result<Vec<Tensor>, RuntimeError> {
         for (i, input) in inputs.iter().enumerate() {
             if input.shape() != self.expect_shape {
                 return Err(RuntimeError::BadInput {
@@ -1105,17 +1112,18 @@ impl ExecutionSession {
             }
         }
         let base = self.next_task;
-        self.next_task += inputs.len();
-        let mut outputs = Vec::with_capacity(inputs.len());
+        let total = inputs.len();
+        self.next_task += total;
+        let mut outputs = Vec::with_capacity(total);
+        let mut feed = inputs
+            .into_iter()
+            .enumerate()
+            .map(|(i, input)| Ok((base + i, input)));
         let mut pending: Option<StageMsg> = None;
-        let mut sent = 0usize;
-        while outputs.len() < inputs.len() {
-            while sent < inputs.len() {
-                let msg = pending
-                    .take()
-                    .unwrap_or_else(|| Ok((base + sent, inputs[sent].clone())));
+        while outputs.len() < total {
+            while let Some(msg) = pending.take().or_else(|| feed.next()) {
                 match self.feeder.try_send(msg) {
-                    Ok(()) => sent += 1,
+                    Ok(()) => {}
                     Err(TrySendError::Full(msg)) => {
                         pending = Some(msg);
                         break;

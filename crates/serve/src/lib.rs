@@ -21,11 +21,11 @@
 //! * [`ServeHandle`] — the **live** front-end: a server thread owns the
 //!   runtime; callers submit from any thread and get typed
 //!   backpressure ([`ServeError::QueueFull`] /
-//!   [`ServeError::TenantOverBudget`]) instead of blocking. It is the
-//!   one path on wall time, so it keeps its own event loop (control
-//!   channel + flush tick) and takes batch composition, accounting and
-//!   re-planning verdicts from the same ledger and kernel methods the
-//!   loop uses.
+//!   [`ServeError::TenantOverBudget`]) instead of blocking. It obeys
+//!   the loop's feeding rule — free server + anything queued ⇒ a batch
+//!   of up to the adaptive target, composed, accounted and re-planned
+//!   by the same ledger and kernel methods — and differs only in its
+//!   clock: wall time, woken by a bounded control channel.
 //!
 //! Both can also run **adaptively**: armed with a cached
 //! [`FleetFrontier`] (see [`fleet_frontier`]), the

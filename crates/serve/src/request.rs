@@ -1,5 +1,4 @@
 use std::sync::Arc;
-use std::time::Duration;
 
 use pico_fleet::FleetFrontier;
 use pico_sim::{BatchPolicy, ReplanPolicy, TenantPolicy};
@@ -29,7 +28,6 @@ pub struct ServeRequest {
     config: ServeConfig,
     recorder: Recorder,
     engine_seed: u64,
-    flush_interval: Duration,
     adaptive: Option<(Arc<FleetFrontier>, ReplanPolicy)>,
 }
 
@@ -40,14 +38,13 @@ impl Default for ServeRequest {
 }
 
 impl ServeRequest {
-    /// A single-tenant request with default policies, a no-op
-    /// recorder, and a 10 ms flush tick.
+    /// A single-tenant request with default policies and a no-op
+    /// recorder.
     pub fn new() -> Self {
         ServeRequest {
             config: ServeConfig::default(),
             recorder: Recorder::noop(),
             engine_seed: 1,
-            flush_interval: Duration::from_millis(10),
             adaptive: None,
         }
     }
@@ -87,13 +84,6 @@ impl ServeRequest {
         self
     }
 
-    /// How long the live server waits for new arrivals before flushing
-    /// a partial batch (bounds the queueing latency a task can pay).
-    pub fn with_flush_interval(mut self, interval: Duration) -> Self {
-        self.flush_interval = interval;
-        self
-    }
-
     /// The assembled configuration.
     pub fn config(&self) -> &ServeConfig {
         &self.config
@@ -107,11 +97,6 @@ impl ServeRequest {
     /// The engine seed.
     pub fn engine_seed(&self) -> u64 {
         self.engine_seed
-    }
-
-    /// The flush tick.
-    pub fn flush_interval(&self) -> Duration {
-        self.flush_interval
     }
 
     /// The armed re-planning setup, if any.

@@ -1,8 +1,7 @@
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use pico_audit::Auditor;
 use pico_fleet::FleetFrontier;
@@ -14,13 +13,16 @@ use pico_telemetry::{names, Ctx};
 use pico_tensor::{Engine, Tensor};
 
 use crate::front::{commit_switch, Drained};
-use crate::state::{enter, QueuedTask, ServeState};
+use crate::state::{enter, ServeState};
 use crate::{ServeError, ServeRequest};
 
 /// Control messages from handles to the server thread. The channel is
-/// bounded (lint rule 8: no unbounded channels in the serving path);
-/// nudges are best-effort and may be dropped when one is already
-/// pending — the flush tick picks up the slack.
+/// bounded (lint rule 8: no unbounded channels in the serving path), so
+/// a nudge is dropped when the channel is full — and no wake-up is lost
+/// by it: `admit` pushes the task under the ledger lock *before* the
+/// `try_send`, and `Full` means a message the server has not yet
+/// received is still ahead of us; it pumps after receiving that one,
+/// and that pump sees the push.
 enum Ctrl {
     Nudge,
     Swap(Plan, SyncSender<Result<(), ServeError>>),
@@ -55,6 +57,8 @@ pub struct ServeTicket {
 
 impl ServeTicket {
     /// Blocks until the task's batch completes and returns its output.
+    /// The server is work-conserving: the batch forms as soon as the
+    /// pipeline is free, so on an idle server this is one traversal.
     ///
     /// # Errors
     ///
@@ -150,18 +154,8 @@ impl ServeHandle {
         let (ctrl_tx, ctrl_rx) = sync_channel(2);
         let thread_state = Arc::clone(&state);
         let seed = request.engine_seed();
-        let tick = request.flush_interval();
         let thread = std::thread::spawn(move || {
-            run_server(
-                model,
-                cluster,
-                params,
-                plan,
-                seed,
-                tick,
-                thread_state,
-                ctrl_rx,
-            )
+            run_server(model, cluster, params, plan, seed, thread_state, ctrl_rx)
         });
         ServeHandle {
             state,
@@ -223,14 +217,12 @@ impl Drop for ServeHandle {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_server(
     model: Model,
     cluster: Cluster,
     params: CostParams,
     mut plan: Plan,
     engine_seed: u64,
-    tick: Duration,
     state: Arc<ServeState>,
     ctrl: Receiver<Ctrl>,
 ) -> Result<ServeOutcome, ServeError> {
@@ -246,19 +238,15 @@ fn run_server(
             .recorder(state.rec.clone())
             .build();
         let session = runtime.session(|sess| loop {
-            let msg = ctrl.recv_timeout(tick);
-            // A nudge batches only once the backlog reaches the adaptive
-            // target; the flush tick and every exit drain it.
-            let force = !matches!(msg, Ok(Ctrl::Nudge));
-            pump(sess, &state, &mut batches, &mut epoch_completed, force)?;
+            // Every admit nudges and the kernel stages a switch only
+            // inside admit, so there is nothing to poll between messages.
+            let msg = ctrl.recv();
+            pump(sess, &state, &mut batches, &mut epoch_completed)?;
             match msg {
                 Ok(Ctrl::Swap(next, reply)) => return Ok(EpochExit::Swap(next, reply)),
-                Ok(Ctrl::Close) | Err(RecvTimeoutError::Disconnected) => {
-                    return Ok(EpochExit::Close)
-                }
-                Ok(Ctrl::Nudge) | Err(RecvTimeoutError::Timeout) => {
+                Ok(Ctrl::Close) | Err(_) => return Ok(EpochExit::Close),
+                Ok(Ctrl::Nudge) => {
                     if let Some(record) = state.replan_due() {
-                        pump(sess, &state, &mut batches, &mut epoch_completed, true)?;
                         return Ok(EpochExit::Replan(record));
                     }
                 }
@@ -313,25 +301,24 @@ fn run_server(
     })
 }
 
-/// Forms and submits micro-batches while they are warranted: always
-/// when `force` (flush tick, drain, shutdown), otherwise only once the
-/// backlog reaches the adaptive target.
+/// The feeding rule, the mirror's (`BatchServer::run_epoch`): whenever
+/// the server is free and anything is queued it composes a batch of up
+/// to the adaptive target — never waiting for the target to fill — and
+/// returns once the queues are empty.
 fn pump(
     sess: &mut ExecutionSession,
     state: &ServeState,
     batches: &mut u64,
     completed: &mut u64,
-    force: bool,
 ) -> Result<(), RuntimeError> {
     loop {
         let target = enter(state.batcher.lock()).target().max(1);
         let mut ledger = enter(state.ledger.lock());
-        let total = ledger.total_queued();
-        if total == 0 || (!force && total < target) {
-            return Ok(());
-        }
         let order = ledger.compose(target);
-        let mut tasks: Vec<(usize, QueuedTask)> = Vec::with_capacity(order.len());
+        // Inputs move into the pipeline; what stays behind answers the
+        // ticket, on success or failure.
+        let mut inputs: Vec<Tensor> = Vec::with_capacity(order.len());
+        let mut replies = Vec::with_capacity(order.len());
         for t in order {
             let Some(task) = enter(state.queues[t].lock()).pop_front() else {
                 // Unreachable while admit holds the ledger lock across
@@ -339,37 +326,34 @@ fn pump(
                 ledger.complete(t, 1);
                 continue;
             };
-            tasks.push((t, task));
+            inputs.push(task.input);
+            replies.push((t, task.reply));
         }
         drop(ledger);
-        if tasks.is_empty() {
+        if replies.is_empty() {
             return Ok(());
         }
-        let n = tasks.len() as u64;
-        let inputs: Vec<Tensor> = tasks.iter().map(|(_, qt)| qt.input.clone()).collect();
-        state.rec.observe_at(
-            names::BATCH_FORMED,
-            Ctx::default(),
-            state.now(),
-            inputs.len() as f64,
-        );
-        let outputs = match sess.submit(&inputs) {
+        let n = replies.len();
+        state
+            .rec
+            .observe_at(names::BATCH_FORMED, Ctx::default(), state.now(), n as f64);
+        let outputs = match sess.submit_owned(inputs) {
             Ok(outputs) => outputs,
             Err(e) => {
-                for (_, qt) in tasks {
-                    let _ = qt.reply.try_send(Err(ServeError::Runtime(e.clone())));
+                for (_, reply) in replies {
+                    let _ = reply.try_send(Err(ServeError::Runtime(e.clone())));
                 }
                 return Err(e);
             }
         };
         let mut ledger = enter(state.ledger.lock());
-        for ((t, qt), out) in tasks.into_iter().zip(outputs) {
+        for ((t, reply), out) in replies.into_iter().zip(outputs) {
             ledger.complete(t, 1);
-            let _ = qt.reply.try_send(Ok(out));
+            let _ = reply.try_send(Ok(out));
         }
         drop(ledger);
         *batches += 1;
-        *completed += n;
+        *completed += n as u64;
     }
 }
 
@@ -381,5 +365,112 @@ fn fail_queued(state: &ServeState, e: &RuntimeError) {
         while let Some(task) = queue.pop_front() {
             let _ = task.reply.try_send(Err(ServeError::Runtime(e.clone())));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{fleet_frontier, ReplanPolicy, TenantPolicy};
+    use pico_model::zoo;
+    use pico_sim::{ServeSim, ServiceProfile};
+    use pico_telemetry::Recorder;
+
+    fn deployment() -> (Model, Cluster, CostParams, Arc<FleetFrontier>) {
+        let model = zoo::mnist_toy();
+        let cluster = Cluster::pi_cluster(4, 1.0);
+        let params = CostParams::wifi_50mbps();
+        let frontier = fleet_frontier(&model, &cluster, &params, &Recorder::noop()).unwrap();
+        (model, cluster, params, frontier)
+    }
+
+    /// The feeding rule itself, with no thread and no clock in the way:
+    /// three admissions too close together to lower the target from its
+    /// maximum, one `pump`, one batch of three — and the mirror takes
+    /// the same batch from the same arrivals.
+    #[test]
+    fn pump_takes_what_is_queued_without_waiting_for_the_target() {
+        let (model, _, _, frontier) = deployment();
+        let plan = &frontier.entries()[frontier.cheapest()].plan;
+        let engine = Engine::with_seed(&model, 3);
+        let rec = Recorder::in_memory();
+        let request = ServeRequest::new()
+            .with_tenants(vec![TenantPolicy::default(); 2])
+            .with_recorder(rec.clone());
+        let state = ServeState::new(&request, None);
+        let runtime = PipelineRuntime::builder(&model, plan, &engine).build();
+
+        let inputs: Vec<Tensor> = (0..3)
+            .map(|k| Tensor::random(model.input_shape(), 40 + k))
+            .collect();
+        let (mut batches, mut completed) = (0u64, 0u64);
+        let (tickets, _report) = runtime
+            .session(|sess| {
+                let tickets: Vec<_> = inputs
+                    .iter()
+                    .enumerate()
+                    .map(|(k, input)| state.admit(k % 2, input.clone()).unwrap())
+                    .collect();
+                let target = enter(state.batcher.lock()).target();
+                assert_eq!(target, 8, "back-to-back admits leave the target at max");
+                pump(sess, &state, &mut batches, &mut completed)?;
+                Ok(tickets)
+            })
+            .unwrap();
+
+        assert_eq!((batches, completed), (1, 3));
+        let formed: Vec<f64> = rec
+            .snapshot()
+            .iter()
+            .filter(|e| e.name == names::BATCH_FORMED)
+            .map(|e| e.value)
+            .collect();
+        assert_eq!(formed, [3.0]);
+        for (ticket, input) in tickets.into_iter().zip(&inputs) {
+            let out = ticket.try_recv().expect("pump resolved every ticket");
+            assert_eq!(out.unwrap().data(), engine.infer(input).unwrap().data());
+        }
+        let ledger = enter(state.ledger.lock());
+        assert_eq!(ledger.total_queued(), 0);
+        assert_eq!(ledger.in_flight(0) + ledger.in_flight(1), 0);
+        drop(ledger);
+
+        let profile = ServiceProfile {
+            latency: 0.1,
+            period: 0.02,
+        };
+        let mirror = ServeSim::new(request.config().batch, request.config().tenants.clone()).run(
+            &[(0.0, 0), (0.0, 1), (0.0, 0)],
+            profile,
+            None,
+        );
+        assert_eq!(mirror.batch_sizes, [3]);
+    }
+
+    /// A switch staged in the kernel is committed on the very next
+    /// admit's nudge — nothing polls for it, and `Close` does not look.
+    #[test]
+    fn armed_server_commits_a_staged_switch_on_the_next_nudge() {
+        let (model, cluster, params, frontier) = deployment();
+        let to = frontier
+            .swap_target(frontier.cheapest())
+            .expect("mnist_toy x pi4 has a switchable pair");
+        let request =
+            ServeRequest::new().with_adaptive(Arc::clone(&frontier), ReplanPolicy::default());
+        let handle = ServeHandle::spawn_adaptive(model.clone(), cluster, params, &request).unwrap();
+        {
+            let (kernel, _) = handle.state.replan.as_ref().unwrap();
+            enter(kernel.lock()).propose(to, 0.0);
+        }
+        let input = Tensor::random(model.input_shape(), 8);
+        let before = handle.submit(0, input.clone()).unwrap().wait().unwrap();
+        // The server is mid-switch or already past it; either way the
+        // next task is served, under the new plan, bit-identically.
+        let after = handle.submit(0, input).unwrap().wait().unwrap();
+        assert_eq!(before.data(), after.data());
+        let outcome = handle.shutdown().unwrap();
+        assert_eq!((outcome.swaps, outcome.epochs), (1, 2));
+        let stat = outcome.per_tenant[0];
+        assert_eq!((stat.admitted, stat.completed, stat.rejected), (2, 2, 0));
     }
 }

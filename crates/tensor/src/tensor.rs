@@ -353,9 +353,13 @@ impl Tensor {
     }
 
     /// Reassembles arbitrary rectangular tiles into one map: tiles are
-    /// sorted by (row, col) offset, grouped into row bands, each band
-    /// stitched along columns, then the bands along rows. Works for row
-    /// strips (each its own band) and regular grids alike.
+    /// sorted by (row, col) offset and grouped into row bands, the
+    /// tiling is validated (each band contiguous along columns, the
+    /// bands contiguous along rows and equally wide), then every tile
+    /// row is written once into the output — no intermediate band
+    /// tensors. Works for row strips (each its own band) and regular
+    /// grids alike; [`stitch_grid`](Self::stitch_grid) is the
+    /// band-by-band reference it is tested against.
     ///
     /// # Errors
     ///
@@ -366,25 +370,73 @@ impl Tensor {
             .iter()
             .filter(|t| t.shape.height > 0 && t.shape.width > 0)
             .collect();
-        if parts.is_empty() {
-            return Err(TensorError::Empty);
-        }
         parts.sort_by_key(|t| (t.row0, t.col0));
-        let mut bands: Vec<Tensor> = Vec::new();
-        let mut band: Vec<Tensor> = Vec::new();
-        let mut band_row = parts[0].row0;
-        for t in parts {
-            if t.row0 != band_row && !band.is_empty() {
-                bands.push(Tensor::stitch_cols(&band)?);
-                band.clear();
-                band_row = t.row0;
+        let first = *parts.first().ok_or(TensorError::Empty)?;
+        let (c, row0, col0) = (first.shape.channels, first.row0, first.col0);
+        let same_band = |a: &&Tensor, b: &&Tensor| a.row0 == b.row0;
+        let mismatch = |detail: String| Err(TensorError::StitchMismatch { detail });
+        // The first band sets the cover's width; every band must match it.
+        let total_w: usize = parts
+            .iter()
+            .take_while(|t| t.row0 == row0)
+            .map(|t| t.shape.width)
+            .sum();
+        let mut total_h = 0usize;
+        for band in parts.chunk_by(same_band) {
+            let (h, top) = (band[0].shape.height, band[0].row0);
+            if top != row0 + total_h {
+                let reached = row0 + total_h;
+                return mismatch(format!(
+                    "band starts at row {top} but cover reached {reached}"
+                ));
             }
-            band.push(t.clone());
+            let mut cursor = col0;
+            for t in band {
+                if t.shape.channels != c || t.shape.height != h {
+                    return mismatch(format!("tile {} @r{top} disagrees with {c}x{h}x_", t.shape));
+                }
+                if t.col0 != cursor {
+                    return mismatch(format!(
+                        "tile starts at col {} but cover reached {cursor}",
+                        t.col0
+                    ));
+                }
+                cursor += t.shape.width;
+            }
+            if cursor - col0 != total_w {
+                let w = cursor - col0;
+                return mismatch(format!(
+                    "band @r{top} is {w} wide but the cover is {total_w}"
+                ));
+            }
+            total_h += h;
         }
-        if !band.is_empty() {
-            bands.push(Tensor::stitch_cols(&band)?);
+        // CHW order is channel → band → row → tile, so appending in that
+        // order writes every output element exactly once.
+        let mut data = Vec::with_capacity(c * total_h * total_w);
+        for ch in 0..c {
+            for band in parts.chunk_by(same_band) {
+                let h = band[0].shape.height;
+                if let [strip] = band {
+                    // A full-width tile's channel plane is already laid
+                    // out as the output wants it.
+                    data.extend_from_slice(&strip.data[ch * h * total_w..(ch + 1) * h * total_w]);
+                    continue;
+                }
+                for r in 0..h {
+                    for t in band {
+                        let w = t.shape.width;
+                        data.extend_from_slice(&t.data[(ch * h + r) * w..(ch * h + r + 1) * w]);
+                    }
+                }
+            }
         }
-        Tensor::stitch_rows(&bands)
+        Ok(Tensor {
+            shape: Shape::new(c, total_h, total_w),
+            row0,
+            col0,
+            data,
+        })
     }
 
     /// Flattens to a CHW-ordered vector (consumes the tensor).
@@ -607,6 +659,126 @@ mod tests {
             .map(|r| t.slice_rows(r).unwrap())
             .collect();
         assert_eq!(Tensor::stitch_tiles(&strips).unwrap(), t);
+    }
+
+    /// An interior window of a larger map, so every tile carries a
+    /// non-zero `row0`/`col0`.
+    fn interior_window() -> Tensor {
+        seq_tensor(3, 20, 17)
+            .slice_region(Region2::new(Rows::new(3, 16), Rows::new(2, 15)))
+            .unwrap()
+    }
+
+    fn cut(t: &Tensor, rows: &[Rows], cols: &[Rows]) -> Vec<Tensor> {
+        let mut tiles = Vec::new();
+        for &r in rows {
+            for &c in cols {
+                tiles.push(t.slice_region(Region2::new(r, c)).unwrap());
+            }
+        }
+        tiles
+    }
+
+    #[test]
+    fn one_pass_stitch_agrees_with_the_band_by_band_reference() {
+        let t = interior_window();
+        let full_cols = [Rows::new(2, 15)];
+        let grids: [(&[Rows], &[Rows]); 3] = [
+            // Strips: one tile per band.
+            (
+                &[Rows::new(3, 4), Rows::new(4, 11), Rows::new(11, 16)],
+                &full_cols,
+            ),
+            // Uneven 2x3.
+            (
+                &[Rows::new(3, 12), Rows::new(12, 16)],
+                &[Rows::new(2, 3), Rows::new(3, 10), Rows::new(10, 15)],
+            ),
+            // 4x4.
+            (
+                &[
+                    Rows::new(3, 6),
+                    Rows::new(6, 10),
+                    Rows::new(10, 13),
+                    Rows::new(13, 16),
+                ],
+                &[
+                    Rows::new(2, 6),
+                    Rows::new(6, 9),
+                    Rows::new(9, 12),
+                    Rows::new(12, 15),
+                ],
+            ),
+        ];
+        for (rows, cols) in grids {
+            let tiles = cut(&t, rows, cols);
+            let reference = Tensor::stitch_grid(&tiles, cols.len()).unwrap();
+            assert_eq!(reference, t);
+            assert_eq!(Tensor::stitch_tiles(&tiles).unwrap(), reference);
+            // Order is not part of the contract: rotate and interleave.
+            let mut shuffled = tiles.clone();
+            shuffled.rotate_left(tiles.len() / 2 + 1);
+            shuffled.reverse();
+            shuffled.swap(0, tiles.len() - 1);
+            assert_eq!(Tensor::stitch_tiles(&shuffled).unwrap(), reference);
+            // Empty tiles are skipped wherever they sit.
+            shuffled.insert(1, t.slice_rows(Rows::new(5, 5)).unwrap());
+            assert_eq!(Tensor::stitch_tiles(&shuffled).unwrap(), reference);
+        }
+    }
+
+    #[test]
+    fn stitch_tiles_rejects_what_does_not_tile_a_rectangle() {
+        let t = interior_window();
+        let rows = [Rows::new(3, 8), Rows::new(8, 12), Rows::new(12, 16)];
+        let cols = [Rows::new(2, 7), Rows::new(7, 11), Rows::new(11, 15)];
+        let tiles = cut(&t, &rows, &cols);
+        let mismatch = |tiles: &[Tensor], what: &str| {
+            assert!(
+                matches!(
+                    Tensor::stitch_tiles(tiles),
+                    Err(TensorError::StitchMismatch { .. })
+                ),
+                "{what}"
+            );
+        };
+
+        let mut hole = tiles.clone();
+        hole.remove(4);
+        mismatch(&hole, "hole inside a band");
+
+        mismatch(&[&tiles[..3], &tiles[6..]].concat(), "missing middle band");
+
+        let mut ragged = tiles.clone();
+        ragged.pop();
+        mismatch(&ragged, "last band narrower than the cover");
+
+        let mut shifted = tiles[..3].to_vec();
+        shifted.extend(cut(&t, &rows[1..2], &[Rows::new(3, 8), Rows::new(8, 15)]));
+        mismatch(&shifted, "band starting at another column");
+
+        let mut channels = tiles.clone();
+        channels[5] = seq_tensor(2, 20, 17)
+            .slice_region(Region2::new(rows[1], cols[2]))
+            .unwrap();
+        mismatch(&channels, "channel disagreement");
+
+        let mut heights = tiles.clone();
+        heights[4] = t
+            .slice_region(Region2::new(Rows::new(8, 11), cols[1]))
+            .unwrap();
+        mismatch(&heights, "height disagreement inside a band");
+
+        assert!(matches!(Tensor::stitch_tiles(&[]), Err(TensorError::Empty)));
+        let empties = [
+            t.slice_rows(Rows::new(4, 4)).unwrap(),
+            t.slice_region(Region2::new(rows[0], Rows::new(5, 5)))
+                .unwrap(),
+        ];
+        assert!(matches!(
+            Tensor::stitch_tiles(&empties),
+            Err(TensorError::Empty)
+        ));
     }
 
     #[test]
