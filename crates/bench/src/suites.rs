@@ -29,13 +29,25 @@ pub const CALIBRATION_CAPACITY: f64 = 1e9;
 ///
 /// Input maps are 16×16 — big enough that the GEMM's register tiling
 /// engages (n = 256 pixels), small enough that `--iters 3` smoke runs
-/// stay fast.
+/// stay fast. Two cases are sized after AlexNet's stage-1 layers
+/// instead: a 13×13 conv whose K = 576 spans several K blocks and whose
+/// N = 169 is not a multiple of 16, and a 4096×4096 FC whose 64 MiB of
+/// weights stream from memory rather than sitting in cache.
 fn kernel_cases() -> Vec<(&'static str, Model)> {
-    let conv = |name, spec| {
+    let conv = |name, spec: ConvSpec, side| {
         let m = Model::new(
             name,
-            conv_input(&spec),
+            Shape::new(spec.in_channels, side, side),
             vec![Layer::conv(name, spec).into()],
+        )
+        .expect("static bench case is well-formed");
+        (name, m)
+    };
+    let fc = |name, in_features, out_features| {
+        let m = Model::new(
+            name,
+            Shape::new(in_features, 1, 1),
+            vec![Layer::fc(name, in_features, out_features).into()],
         )
         .expect("static bench case is well-formed");
         (name, m)
@@ -43,11 +55,12 @@ fn kernel_cases() -> Vec<(&'static str, Model)> {
     vec![
         // The gate case: a dense 3×3 convolution at 64 channels, the
         // bread-and-butter layer of VGG-class models.
-        conv(GATE_CASE, ConvSpec::square(64, 64, 3, 1, 1)),
-        conv("conv3x3_c16", ConvSpec::square(16, 16, 3, 1, 1)),
-        conv("conv1x1_c64", ConvSpec::pointwise(64, 64)),
-        conv("conv3x3_s2_c32", ConvSpec::square(32, 32, 3, 2, 1)),
-        conv("dw3x3_c32", ConvSpec::depthwise(32, 3, 1, 1)),
+        conv(GATE_CASE, ConvSpec::square(64, 64, 3, 1, 1), 16),
+        conv("conv3x3_c16", ConvSpec::square(16, 16, 3, 1, 1), 16),
+        conv("conv1x1_c64", ConvSpec::pointwise(64, 64), 16),
+        conv("conv3x3_s2_c32", ConvSpec::square(32, 32, 3, 2, 1), 16),
+        conv("dw3x3_c32", ConvSpec::depthwise(32, 3, 1, 1), 16),
+        conv("conv3x3_c64_96_13px", ConvSpec::square(64, 96, 3, 1, 1), 13),
         (
             "pool2x2_c32",
             Model::new(
@@ -57,20 +70,9 @@ fn kernel_cases() -> Vec<(&'static str, Model)> {
             )
             .expect("static bench case is well-formed"),
         ),
-        (
-            "fc_2048x256",
-            Model::new(
-                "fc_2048x256",
-                Shape::new(32, 8, 8),
-                vec![Layer::fc("fc_2048x256", 32 * 8 * 8, 256).into()],
-            )
-            .expect("static bench case is well-formed"),
-        ),
+        fc("fc_2048x256", 32 * 8 * 8, 256),
+        fc("fc_4096x4096", 4096, 4096),
     ]
-}
-
-fn conv_input(spec: &ConvSpec) -> Shape {
-    Shape::new(spec.in_channels, 16, 16)
 }
 
 /// Measures one engine's full-map inference of `model` under `cfg`,

@@ -467,6 +467,7 @@ fn layer_region(
             fc.out_features,
             weights,
             true,
+            exec.simd,
             scratch,
         ),
     }

@@ -19,6 +19,7 @@ use crate::gemm;
 use crate::ops;
 use crate::pool::{self, ThreadPool};
 use crate::quant;
+use crate::simd;
 use crate::weights::QuantizedLayer;
 use crate::{LayerWeights, Tensor, TensorError};
 
@@ -379,7 +380,8 @@ pub(crate) fn pool_region(
     )
 }
 
-/// Fast fully-connected layer: blocked GEMV into a pooled buffer.
+/// Fast fully-connected layer: blocked GEMV into a pooled buffer, on
+/// the `simd.rs` kernel when `simd` is set (bit-identical to scalar).
 /// Checks and error variants mirror `ops::fc_full` exactly.
 pub(crate) fn fc_full(
     input: &Tensor,
@@ -387,6 +389,7 @@ pub(crate) fn fc_full(
     out_features: usize,
     weights: &LayerWeights,
     relu: bool,
+    simd: bool,
     scratch: &mut Scratch,
 ) -> Result<Tensor, TensorError> {
     if input.shape().elements() != in_features || input.row0() != 0 || input.col0() != 0 {
@@ -397,7 +400,12 @@ pub(crate) fn fc_full(
         });
     }
     let mut data = scratch.take(out_features);
-    gemm::gemv_bias_relu(
+    let kernel = if simd {
+        simd::gemv_bias_relu
+    } else {
+        gemm::gemv_bias_relu
+    };
+    kernel(
         &weights.kernel,
         input.data(),
         &weights.bias,

@@ -74,11 +74,13 @@ fn arb_pick() -> impl Strategy<Value = Pick> {
 }
 
 /// Random conv/pool chains over a 12x12 input, including grouped and
-/// depthwise convolutions and padded average pooling. Invalid picks
-/// (shape collapse, padding >= kernel) are skipped, keeping every
-/// generated model runnable.
+/// depthwise convolutions and padded average pooling, with an optional
+/// fully-connected tail (`fc_out > 0`). Invalid picks (shape collapse,
+/// padding >= kernel) are skipped, keeping every generated model
+/// runnable.
 fn arb_model() -> impl Strategy<Value = Model> {
-    proptest::collection::vec(arb_pick(), 1..5).prop_map(|picks| {
+    let fc_out = prop_oneof![2 => Just(0usize), 1 => 1usize..=40];
+    (proptest::collection::vec(arb_pick(), 1..5), fc_out).prop_map(|(picks, fc_out)| {
         let input = Shape::new(4, 12, 12);
         let mut units: Vec<pico_model::Unit> = Vec::new();
         let mut shape = input;
@@ -141,7 +143,12 @@ fn arb_model() -> impl Strategy<Value = Model> {
             }
         }
         if units.is_empty() {
-            units.push(Layer::conv("fb", ConvSpec::square(4, 3, 3, 1, 1)).into());
+            let fallback = Layer::conv("fb", ConvSpec::square(4, 3, 3, 1, 1));
+            shape = fallback.output_shape(input).expect("fallback conv fits");
+            units.push(fallback.into());
+        }
+        if fc_out > 0 {
+            units.push(Layer::fc("fc", shape.elements(), fc_out).into());
         }
         Model::new("diff", input, units).expect("chain is consistent")
     })
@@ -237,6 +244,8 @@ proptest! {
         let (reference, fast) = oracle_and_fast(&model, seed);
         let input = Tensor::random(model.input_shape(), seed.wrapping_add(3));
         let out = model.output_shape();
+        // An FC tail's 1×1 output has no two-way split.
+        prop_assume!(gr <= out.height && gc <= out.width);
         let seg = model.full_segment();
         for region in grid_split_even(out.height, out.width, gr, gc) {
             let need = model.segment_input_region(seg, region);
@@ -466,6 +475,66 @@ fn remainder_k_and_n_shapes_cover_the_simd_tail_paths() {
         let want = reference.infer(&input).unwrap();
         for (backend, engine) in &fast {
             assert_eq!(engine.infer(&input).unwrap(), want, "{name} {backend}");
+        }
+    }
+}
+
+/// The output's bit patterns, so `-0.0`/`0.0` and NaN payloads count.
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn workload_conv_shapes_cross_k_blocks_bit_exactly() {
+    // AlexNet's conv3–conv5 regime: K = 64·3·3 = 576 spans three of the
+    // packed kernel's 256-deep K blocks, and N = 13·13 = 169 = 10·16 + 9
+    // leaves a 9-column panel tail. The grouped twin has the same K per
+    // group.
+    let grouped = ConvSpec {
+        in_channels: 128,
+        out_channels: 96,
+        kernel: (3, 3),
+        stride: (1, 1),
+        padding: (1, 1),
+        groups: 2,
+    };
+    for (name, spec) in [
+        ("dense", ConvSpec::square(64, 96, 3, 1, 1)),
+        ("grouped", grouped),
+    ] {
+        let input_shape = Shape::new(spec.in_channels, 13, 13);
+        let model = Model::new(name, input_shape, vec![Layer::conv(name, spec).into()]).unwrap();
+        let (reference, fast) = oracle_and_fast(&model, 41);
+        let input = Tensor::random(input_shape, 42);
+        let want = bits(&reference.infer(&input).unwrap());
+        for (backend, engine) in &fast {
+            assert_eq!(
+                bits(&engine.infer(&input).unwrap()),
+                want,
+                "{name} {backend}"
+            );
+        }
+    }
+}
+
+#[test]
+fn workload_fc_shapes_are_bit_exact() {
+    // AlexNet's fc6 (9216→4096: whole 16-row GEMV passes) and fc8
+    // (4096→1000: an 8-row scalar remainder).
+    for (in_features, out_features) in [(9216, 4096), (4096, 1000)] {
+        let input_shape = Shape::new(in_features, 1, 1);
+        let model = Model::new(
+            "fc",
+            input_shape,
+            vec![Layer::fc("fc", in_features, out_features).into()],
+        )
+        .unwrap();
+        let (reference, fast) = oracle_and_fast(&model, 43);
+        let input = Tensor::random(input_shape, 44);
+        let want = bits(&reference.infer(&input).unwrap());
+        for (backend, engine) in &fast {
+            let got = bits(&engine.infer(&input).unwrap());
+            assert_eq!(got, want, "{in_features}->{out_features} {backend}");
         }
     }
 }

@@ -15,6 +15,8 @@ pub fn chain() -> Model {
             Layer::conv("c1", ConvSpec::square(8, 16, 3, 1, 1)).into(),
             Layer::pool("p1", PoolSpec::max(2, 2)).into(),
             Layer::conv("c2", ConvSpec::square(16, 16, 3, 1, 1)).into(),
+            // 40 rows: two 16-row AVX2 GEMV passes plus a scalar remainder.
+            Layer::fc("f3", 16 * 8 * 8, 40).into(),
         ],
     )
     .expect("chain is consistent")
