@@ -83,7 +83,7 @@ impl Default for BenchConfig {
 /// One benchmark's result under a [`BenchConfig`] protocol.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchRecord {
-    /// Suite the record belongs to (`kernels`, `planner`, `e2e`).
+    /// Suite the record belongs to (`kernels`, `planner`).
     pub suite: String,
     /// Case name, `<case>/<variant>` by convention.
     pub name: String,

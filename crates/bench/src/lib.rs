@@ -27,10 +27,10 @@
 //! partitioning, and per-scheme memory footprints.
 //!
 //! Micro-benchmarks live in [`harness`] (the dependency-free
-//! measurement protocol), [`suites`] (the `kernels` / `planner` / `e2e`
-//! suites behind `pico bench`), and [`report`] (machine-readable JSON
-//! with a strict reader). See `DESIGN.md` §13 for why gates compare
-//! ratios, never wall-clock.
+//! measurement protocol), [`suites`] (the `kernels` / `planner` suites
+//! behind `pico bench`), and [`report`] (machine-readable JSON with a
+//! strict reader). See `DESIGN.md` §13 for why gates compare ratios,
+//! never wall-clock.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

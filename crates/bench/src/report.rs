@@ -16,7 +16,7 @@ use crate::harness::BenchRecord;
 /// All records of one suite run, in execution order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchReport {
-    /// Suite name (`kernels`, `planner`, `e2e`).
+    /// Suite name (`kernels`, `planner`).
     pub suite: String,
     /// Records in the order they were measured.
     pub records: Vec<BenchRecord>,

@@ -1,17 +1,16 @@
-//! The three offline bench suites behind `pico bench`: compute
-//! kernels, planners, and end-to-end inference.
+//! The two offline micro-benchmark suites behind `pico bench`: compute
+//! kernels and planners. End-to-end serving and pipeline numbers come
+//! from the repo benchmark in `benchmark/`, which drives the real path.
 //!
 //! Every suite is deterministic in *structure* — same case names, same
 //! order, same protocol fields on every rerun — so reports can be
 //! diffed and gated on ratios between records. The kernel suite runs
-//! each case under **every** [`EngineBackend`] (plus a multi-threaded
-//! `simd_mt4` row for the gate case); the `conv3x3_c64/reference` vs
-//! `conv3x3_c64/simd` pair is the CI speedup gate, and
-//! `conv3x3_c64/simd` vs `conv3x3_c64/simd_mt4` the thread-scaling
-//! smoke (enforced only on hosts with ≥ 4 cores).
+//! each case under **every** [`EngineBackend`]; the
+//! `conv3x3_c64/reference` vs `conv3x3_c64/simd` pair is the CI speedup
+//! gate.
 
 use pico_fleet::{FleetConfig, FleetFrontier};
-use pico_model::{zoo, ConvSpec, Layer, Model, PoolSpec, Region2, Rows, Shape};
+use pico_model::{zoo, ConvSpec, Layer, Model, PoolSpec, Region2, Shape};
 use pico_partition::{Cluster, CostParams, PlanRequest};
 use pico_tensor::{Engine, EngineBackend, Scratch, Tensor};
 
@@ -85,22 +84,7 @@ fn bench_model(
     model: &Model,
     backend: EngineBackend,
 ) -> BenchRecord {
-    bench_model_threads(suite, name, cfg, model, backend, 1)
-}
-
-/// [`bench_model`] with an explicit worker-thread count, used for the
-/// `simd_mt4` thread-scaling row.
-fn bench_model_threads(
-    suite: &str,
-    name: &str,
-    cfg: BenchConfig,
-    model: &Model,
-    backend: EngineBackend,
-    threads: usize,
-) -> BenchRecord {
-    let engine = Engine::with_seed(model, 11)
-        .with_backend(backend)
-        .with_threads(threads);
+    let engine = Engine::with_seed(model, 11).with_backend(backend);
     let input = Tensor::random(model.input_shape(), 17);
     let seg = model.full_segment();
     let out = model.output_shape();
@@ -114,12 +98,8 @@ fn bench_model_threads(
     })
 }
 
-/// Worker threads used by the `simd_mt4` thread-scaling row.
-pub const SCALING_THREADS: usize = 4;
-
-/// The kernel suite: every case in [`kernel_cases`] under every
-/// backend, named `<case>/<backend>`, plus one multi-threaded
-/// `<gate>/simd_mt4` row for the thread-scaling smoke.
+/// The kernel suite: every case in `kernel_cases` under every backend,
+/// named `<case>/<backend>`.
 pub fn kernels(cfg: BenchConfig) -> BenchReport {
     let mut report = BenchReport::new("kernels");
     for (case, model) in kernel_cases() {
@@ -128,17 +108,6 @@ pub fn kernels(cfg: BenchConfig) -> BenchReport {
             report
                 .records
                 .push(bench_model("kernels", &name, cfg, &model, backend));
-        }
-        if case == GATE_CASE {
-            let name = format!("{case}/simd_mt{SCALING_THREADS}");
-            report.records.push(bench_model_threads(
-                "kernels",
-                &name,
-                cfg,
-                &model,
-                EngineBackend::Simd,
-                SCALING_THREADS,
-            ));
         }
     }
     report
@@ -159,16 +128,6 @@ pub fn simd_speedup(report: &BenchReport, case: &str) -> Option<f64> {
     report.ratio(
         &format!("{case}/{}", EngineBackend::Reference),
         &format!("{case}/{}", EngineBackend::Simd),
-    )
-}
-
-/// Single-thread-over-[`SCALING_THREADS`] SIMD median ratio for `case`
-/// — the CI `--scaling-gate` metric. `None` unless the suite benched a
-/// `<case>/simd_mt4` row (only the gate case gets one).
-pub fn thread_scaling(report: &BenchReport, case: &str) -> Option<f64> {
-    report.ratio(
-        &format!("{case}/{}", EngineBackend::Simd),
-        &format!("{case}/simd_mt{SCALING_THREADS}"),
     )
 }
 
@@ -254,50 +213,6 @@ pub fn planner(cfg: BenchConfig) -> BenchReport {
     report
 }
 
-/// The end-to-end suite: whole-model inference of the MNIST-sized toy
-/// under both backends, plus a 4-way split → compute → stitch pass
-/// exercising the halo path the runtime takes.
-pub fn e2e(cfg: BenchConfig) -> BenchReport {
-    let mut report = BenchReport::new("e2e");
-    let model = zoo::mnist_toy();
-    for backend in EngineBackend::ALL {
-        let name = format!("mnist_toy/{backend}");
-        report
-            .records
-            .push(bench_model("e2e", &name, cfg, &model, backend));
-    }
-    let engine = Engine::with_seed(&model, 11);
-    let input = Tensor::random(model.input_shape(), 17);
-    let seg = model.full_segment();
-    let h = model.output_shape().height;
-    let shares = pico_model::rows_split_even(Rows::full(h), 4);
-    let mut scratch = Scratch::new();
-    report.records.push(bench(
-        "e2e",
-        "mnist_toy_split4/im2col",
-        cfg,
-        model.total_flops(),
-        || {
-            let tiles: Vec<Tensor> = shares
-                .iter()
-                .map(|&r| {
-                    let need = model.segment_input_rows(seg, r);
-                    let tile = input.slice_rows(need).expect("share is in range");
-                    engine
-                        .infer_region(seg, r, &tile)
-                        .expect("bench case infers")
-                })
-                .collect();
-            let stitched = Tensor::stitch_rows(&tiles).expect("tiles stitch");
-            for t in tiles {
-                scratch.give(t.into_vec());
-            }
-            scratch.give(stitched.into_vec());
-        },
-    ));
-    report
-}
-
 /// Runs the kernel suite and fits [`CostParams::calibrated`] from its
 /// fast-backend convolution records, returning the fitted parameters
 /// alongside the `(flops, seconds)` samples used.
@@ -325,10 +240,10 @@ mod tests {
     fn kernel_suite_covers_every_case_under_every_backend() {
         let report = kernels(BenchConfig::new(0, 1, 1));
         assert_eq!(report.suite, "kernels");
-        // One row per (case, backend) pair plus the simd_mt4 gate row.
+        // One row per (case, backend) pair.
         assert_eq!(
             report.records.len(),
-            kernel_cases().len() * EngineBackend::ALL.len() + 1
+            kernel_cases().len() * EngineBackend::ALL.len()
         );
         for (case, _) in kernel_cases() {
             for b in EngineBackend::ALL {
@@ -338,12 +253,8 @@ mod tests {
                 );
             }
         }
-        assert!(report
-            .record(&format!("{GATE_CASE}/simd_mt{SCALING_THREADS}"))
-            .is_some());
         assert!(backend_speedup(&report, GATE_CASE).is_some());
         assert!(simd_speedup(&report, GATE_CASE).is_some());
-        assert!(thread_scaling(&report, GATE_CASE).is_some());
         let alpha = measured_backend_alpha(&report, GATE_CASE, EngineBackend::Simd);
         assert!(alpha.is_some_and(|a| a > 0.0 && a.is_finite()));
     }
@@ -352,7 +263,6 @@ mod tests {
     fn suite_structure_is_deterministic_across_reruns() {
         let cfg = BenchConfig::new(0, 1, 1);
         assert_eq!(kernels(cfg).shape(), kernels(cfg).shape());
-        assert_eq!(e2e(cfg).shape(), e2e(cfg).shape());
     }
 
     #[test]

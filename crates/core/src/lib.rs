@@ -56,7 +56,6 @@ pub struct Pico {
     params: CostParams,
     recorder: Recorder,
     backend: Option<EngineBackend>,
-    threads: usize,
     cache: Option<Arc<PlanCache>>,
 }
 
@@ -70,7 +69,6 @@ impl Pico {
             params: CostParams::wifi_50mbps(),
             recorder: Recorder::noop(),
             backend: None,
-            threads: 1,
             cache: None,
         }
     }
@@ -102,24 +100,14 @@ impl Pico {
         self
     }
 
-    /// Sets the per-engine worker-thread count for GEMM macro-block
-    /// parallelism (default 1 — no pool).
-    pub fn with_engine_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
     /// Builds a synthetic-weight engine for this deployment, applying
-    /// the configured backend and thread count.
+    /// the configured backend.
     fn engine(&self, seed: u64) -> Engine<'_> {
-        let mut engine = Engine::with_seed(&self.model, seed);
-        if let Some(backend) = self.backend {
-            engine = engine.with_backend(backend);
+        let engine = Engine::with_seed(&self.model, seed);
+        match self.backend {
+            Some(backend) => engine.with_backend(backend),
+            None => engine,
         }
-        if self.threads > 1 {
-            engine = engine.with_threads(self.threads);
-        }
-        engine
     }
 
     /// Attaches a telemetry recorder: every plan, simulation, and
@@ -153,11 +141,6 @@ impl Pico {
     /// The configured backend override, if any.
     pub fn backend(&self) -> Option<EngineBackend> {
         self.backend
-    }
-
-    /// The configured per-engine worker-thread count.
-    pub fn engine_threads(&self) -> usize {
-        self.threads
     }
 
     /// Plans with the paper's PICO pipeline strategy.
@@ -535,14 +518,10 @@ mod tests {
         let plan = base.plan().unwrap();
         let inputs = vec![Tensor::random(base.model().input_shape(), 41)];
         let reference = base.execute(&plan, inputs.clone(), 23).unwrap();
-        // SIMD (threaded) preserves the scalar addition chains, so the
+        // SIMD preserves the scalar addition chains, so the
         // facade-level override must be bit-identical end to end.
-        let simd = base
-            .clone()
-            .with_backend(EngineBackend::Simd)
-            .with_engine_threads(2);
+        let simd = base.clone().with_backend(EngineBackend::Simd);
         assert_eq!(simd.backend(), Some(EngineBackend::Simd));
-        assert_eq!(simd.engine_threads(), 2);
         let report = simd.execute(&plan, inputs, 23).unwrap();
         assert_eq!(report.outputs, reference.outputs);
     }

@@ -1493,12 +1493,12 @@ mod tests {
 
     #[test]
     fn backend_override_runs_simd_bit_exactly() {
-        // A whole-run Simd override (with an intra-shard thread pool)
-        // must reproduce the f32 reference outputs exactly.
+        // A whole-run Simd override must reproduce the f32 reference
+        // outputs exactly.
         use pico_tensor::EngineBackend;
         let (m, c, p) = setup();
         let plan = PicoPlanner.plan(&PlanRequest::new(&m, &c, &p)).unwrap();
-        let engine = Engine::with_seed(&m, 3).with_threads(2);
+        let engine = Engine::with_seed(&m, 3);
         let runtime = PipelineRuntime::builder(&m, &plan, &engine)
             .backend(EngineBackend::Simd)
             .build();

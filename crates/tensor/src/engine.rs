@@ -3,8 +3,7 @@ use std::sync::Arc;
 use pico_model::{Block, LayerKind, Merge, Model, Region2, Rows, Segment, Shape, Unit};
 
 use crate::ops;
-use crate::pool::ThreadPool;
-use crate::scratch::{self, Exec, Scratch};
+use crate::scratch::{self, Scratch};
 use crate::weights::{QuantizedLayer, QuantizedNetwork, QuantizedUnit};
 use crate::{LayerWeights, NetworkWeights, Tensor, TensorError, UnitWeights};
 
@@ -96,8 +95,6 @@ pub struct Engine<'m> {
     /// Int8 weights, built lazily the first time the backend switches
     /// to `Int8` and shared by clones/forks from then on.
     quant: Option<Arc<QuantizedNetwork>>,
-    /// Intra-shard GEMM thread pool (`with_threads`), shared by clones.
-    pool: Option<Arc<ThreadPool>>,
 }
 
 impl<'m> Engine<'m> {
@@ -123,7 +120,6 @@ impl<'m> Engine<'m> {
             weights: Arc::new(weights),
             backend: EngineBackend::default(),
             quant: None,
-            pool: None,
         })
     }
 
@@ -135,7 +131,6 @@ impl<'m> Engine<'m> {
             weights: Arc::new(NetworkWeights::generate(model, seed)),
             backend: EngineBackend::default(),
             quant: None,
-            pool: None,
         }
     }
 
@@ -158,21 +153,8 @@ impl<'m> Engine<'m> {
         self
     }
 
-    /// Returns this engine with an intra-shard GEMM thread pool of
-    /// `threads` total participants (1 disables parallelism). Results
-    /// are bit-identical for every thread count: parallel chunks are
-    /// disjoint output rows, never a cross-thread reduction.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.pool = if threads > 1 {
-            Some(Arc::new(ThreadPool::new(threads)))
-        } else {
-            None
-        };
-        self
-    }
-
-    /// A cheap engine fork sharing this engine's weights (and thread
-    /// pool) but dispatching to `backend` — how the pipeline runtime
+    /// A cheap engine fork sharing this engine's weights but
+    /// dispatching to `backend` — how the pipeline runtime
     /// gives each worker its own backend without duplicating weights.
     pub fn fork_backend(&self, backend: EngineBackend) -> Engine<'m> {
         self.clone().with_backend(backend)
@@ -181,11 +163,6 @@ impl<'m> Engine<'m> {
     /// The compute backend this engine dispatches to.
     pub fn backend(&self) -> EngineBackend {
         self.backend
-    }
-
-    /// Thread-pool width (1 when no pool is attached).
-    pub fn threads(&self) -> usize {
-        self.pool.as_ref().map_or(1, |p| p.threads())
     }
 
     /// The quantized weights, present once the backend has been
@@ -359,10 +336,6 @@ impl<'m> Engine<'m> {
         out: Region2,
     ) -> Result<Tensor, TensorError> {
         let in_shape = self.model.unit_input_shape(index);
-        let exec = Exec {
-            simd: self.backend == EngineBackend::Simd,
-            pool: self.pool.as_deref(),
-        };
         let quant = match self.backend {
             EngineBackend::Int8 => {
                 Some(
@@ -386,17 +359,7 @@ impl<'m> Engine<'m> {
                     }
                     None => None,
                 };
-                layer_region(
-                    self.backend,
-                    exec,
-                    scratch,
-                    &l.kind,
-                    input,
-                    in_shape,
-                    w,
-                    qw,
-                    out,
-                )
+                layer_region(self.backend, scratch, &l.kind, input, in_shape, w, qw, out)
             }
             (Unit::Block(b), UnitWeights::Block(pw)) => {
                 let pq = match quant.map(|q| q.unit(index)) {
@@ -408,7 +371,7 @@ impl<'m> Engine<'m> {
                     }
                     None => None,
                 };
-                block_region(self.backend, exec, scratch, b, pw, pq, input, in_shape, out)
+                block_region(self.backend, scratch, b, pw, pq, input, in_shape, out)
             }
             _ => Err(TensorError::WeightMismatch {
                 detail: format!("unit {index} weights do not match its kind"),
@@ -420,14 +383,13 @@ impl<'m> Engine<'m> {
 /// Dispatches one layer's region computation to the selected backend.
 /// Convolutions and FC layers apply a fused ReLU; pooling does not.
 ///
-/// `Simd` and `Im2colGemm` share the scratch conv/fc paths — `exec`
-/// selects the micro-kernel (both bit-identical) and thread pool.
-/// `Int8` routes weighted layers to the quantized kernels; pooling has
-/// no weights and stays on the f32 path under every fast backend.
+/// `Simd` and `Im2colGemm` share the scratch conv/fc paths and differ
+/// only in the micro-kernel (both bit-identical). `Int8` routes
+/// weighted layers to the quantized kernels; pooling has no weights and
+/// stays on the f32 path under every fast backend.
 #[allow(clippy::too_many_arguments)]
 fn layer_region(
     backend: EngineBackend,
-    exec: Exec<'_>,
     scratch: &mut Scratch,
     kind: &LayerKind,
     input: &Tensor,
@@ -439,6 +401,7 @@ fn layer_region(
     let missing_q = |what: &str| TensorError::WeightMismatch {
         detail: format!("int8 backend missing quantized {what} weights"),
     };
+    let simd = backend == EngineBackend::Simd;
     match (kind, backend) {
         (LayerKind::Conv(spec), EngineBackend::Reference) => {
             ops::conv_region(input, in_shape, spec, weights, out, true)
@@ -448,7 +411,7 @@ fn layer_region(
             scratch::conv_region_q(input, in_shape, spec, q, out, true, scratch)
         }
         (LayerKind::Conv(spec), _) => {
-            scratch::conv_region(input, in_shape, spec, weights, out, true, exec, scratch)
+            scratch::conv_region(input, in_shape, spec, weights, out, true, simd, scratch)
         }
         (LayerKind::Pool(spec), EngineBackend::Reference) => {
             ops::pool_region(input, in_shape, spec, out)
@@ -467,7 +430,7 @@ fn layer_region(
             fc.out_features,
             weights,
             true,
-            exec.simd,
+            simd,
             scratch,
         ),
     }
@@ -479,7 +442,6 @@ fn layer_region(
 #[allow(clippy::too_many_arguments)]
 fn block_region(
     backend: EngineBackend,
-    exec: Exec<'_>,
     scratch: &mut Scratch,
     block: &Block,
     path_weights: &[Vec<LayerWeights>],
@@ -519,30 +481,17 @@ fn block_region(
         let mut cur: Option<Tensor> = None;
         for (l, layer) in path.iter().enumerate() {
             let qw = path_quant.and_then(|p| p[pi][l].as_ref());
-            let next = match &cur {
-                Some(t) => layer_region(
-                    backend,
-                    exec,
-                    scratch,
-                    &layer.kind,
-                    t,
-                    shapes[l],
-                    &weights[l],
-                    qw,
-                    regions[l],
-                )?,
-                None => layer_region(
-                    backend,
-                    exec,
-                    scratch,
-                    &layer.kind,
-                    input,
-                    shapes[l],
-                    &weights[l],
-                    qw,
-                    regions[l],
-                )?,
-            };
+            let src = cur.as_ref().unwrap_or(input);
+            let next = layer_region(
+                backend,
+                scratch,
+                &layer.kind,
+                src,
+                shapes[l],
+                &weights[l],
+                qw,
+                regions[l],
+            )?;
             if let Some(spent) = cur.take() {
                 scratch.give(spent.into_vec());
             }
@@ -828,29 +777,6 @@ mod tests {
             let simd = Engine::with_seed(&m, 11).with_backend(EngineBackend::Simd);
             let input = Tensor::random(m.input_shape(), 22);
             assert_eq!(simd.infer(&input).unwrap(), oracle.infer(&input).unwrap());
-        }
-    }
-
-    #[test]
-    fn threaded_engine_is_bit_identical_to_single_threaded() {
-        // Disjoint-row fan-out has no cross-thread reduction, so any
-        // thread count reproduces the serial result exactly, across
-        // repeated runs.
-        for m in [tiny_chain(), tiny_graph()] {
-            let input = Tensor::random(m.input_shape(), 5);
-            let serial = Engine::with_seed(&m, 9)
-                .with_backend(EngineBackend::Simd)
-                .infer(&input)
-                .unwrap();
-            for threads in [2, 4] {
-                let par = Engine::with_seed(&m, 9)
-                    .with_backend(EngineBackend::Simd)
-                    .with_threads(threads);
-                assert_eq!(par.threads(), threads);
-                for _ in 0..3 {
-                    assert_eq!(par.infer(&input).unwrap(), serial, "threads={threads}");
-                }
-            }
         }
     }
 

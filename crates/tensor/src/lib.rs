@@ -16,11 +16,12 @@
 //! naive direct loops (`Reference`, the bit-exactness oracle), an
 //! im2col + cache-blocked-GEMM path (`Im2colGemm`, the default) that
 //! reuses [`Scratch`] buffers for allocation-free steady-state serving,
-//! a runtime-feature-detected vectorized variant (`Simd`, optionally
-//! multi-threaded via [`Engine::with_threads`]) — all three bit-exactly
-//! identical — and a per-channel symmetric int8 mode (`Int8`) that is
-//! deterministic and self-consistent under region splits but only
-//! tolerance-close to the f32 oracle.
+//! a runtime-feature-detected vectorized variant (`Simd`) — all three
+//! bit-exactly identical — and a per-channel symmetric int8 mode
+//! (`Int8`) that is deterministic and self-consistent under region
+//! splits but only tolerance-close to the f32 oracle. An engine runs on
+//! the calling thread: one engine is one device, and a host's extra
+//! cores are more devices for the planner, not threads inside a kernel.
 //!
 //! # Example
 //!
@@ -44,10 +45,10 @@
 //! # Ok::<(), pico_tensor::TensorError>(())
 //! ```
 
-// `deny` instead of `forbid`: the two modules that need `std::arch`
-// intrinsics and raw-pointer chunking (`simd.rs`, `pool.rs`) opt back
-// in with a file-level `allow`, and xtask lint rule 10 confines unsafe
-// to exactly those files (with mandatory SAFETY comments).
+// `deny` instead of `forbid`: the one module that needs `std::arch`
+// intrinsics (`simd.rs`) opts back in with a file-level `allow`, and
+// xtask lint rule 10 confines unsafe to exactly that file (with
+// mandatory SAFETY comments).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -55,7 +56,6 @@ mod engine;
 mod error;
 mod gemm;
 mod ops;
-mod pool;
 mod quant;
 mod scratch;
 mod simd;

@@ -4,7 +4,7 @@
 //! scales, static per-layer activation scales from a deterministic
 //! calibration pass) lives in `weights.rs`; this module holds only the
 //! allocation-free hot-path kernels, policed by xtask lint rule 10
-//! alongside `gemm.rs`/`simd.rs`/`pool.rs`.
+//! alongside `gemm.rs`/`simd.rs`.
 //!
 //! # Numerics
 //!

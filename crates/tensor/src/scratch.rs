@@ -17,22 +17,10 @@ use pico_model::{ConvSpec, PoolKind, PoolSpec, Region2, Shape};
 
 use crate::gemm;
 use crate::ops;
-use crate::pool::{self, ThreadPool};
 use crate::quant;
 use crate::simd;
 use crate::weights::QuantizedLayer;
 use crate::{LayerWeights, Tensor, TensorError};
-
-/// How the fast conv path executes its GEMM: vectorized or scalar
-/// micro-kernel, optionally fanned out over an engine-owned thread
-/// pool. Plain data — cheap to construct per layer call.
-#[derive(Clone, Copy)]
-pub(crate) struct Exec<'p> {
-    /// Use the `simd.rs` micro-kernel (bit-identical to scalar).
-    pub(crate) simd: bool,
-    /// Fan M macro-blocks out over this pool when profitable.
-    pub(crate) pool: Option<&'p ThreadPool>,
-}
 
 /// Upper bound on pooled buffers; beyond this, returned buffers are
 /// dropped. A pipeline worker touches one segment (a handful of layers),
@@ -140,8 +128,7 @@ impl Scratch {
 
 /// Fast convolution: im2col lowering + blocked GEMM, one group at a
 /// time. Checks and error variants mirror `ops::conv_region` exactly.
-/// `exec` picks the micro-kernel (scalar or SIMD — both bit-identical)
-/// and the optional thread pool for the M macro-block fan-out.
+/// `simd` picks the micro-kernel (scalar or SIMD — both bit-identical).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn conv_region(
     input: &Tensor,
@@ -150,7 +137,7 @@ pub(crate) fn conv_region(
     weights: &LayerWeights,
     out: Region2,
     relu: bool,
-    exec: Exec<'_>,
+    simd: bool,
     scratch: &mut Scratch,
 ) -> Result<Tensor, TensorError> {
     if input.shape().channels != spec.in_channels {
@@ -171,14 +158,17 @@ pub(crate) fn conv_region(
     let n = out.area();
     let k = in_per_group * kh * kw;
 
+    let kernel = if simd {
+        simd::gemm_bias_relu
+    } else {
+        gemm::gemm_bias_relu
+    };
     let mut data = scratch.take(spec.out_channels * n);
     let patches = scratch.patches_mut(k * n);
     for g in 0..spec.groups {
         im2col(input, in_shape, spec, g * in_per_group, out, patches);
         let oc0 = g * out_per_group;
-        pool::par_gemm_bias_relu(
-            exec.pool,
-            exec.simd,
+        kernel(
             &weights.kernel[oc0 * k..(oc0 + out_per_group) * k],
             patches,
             &weights.bias[oc0..oc0 + out_per_group],

@@ -37,7 +37,7 @@
 //!
 //! This file is `unsafe`-bearing (`std::arch` loads and stores require
 //! it) and is policed by xtask lint rule 10: unsafe is confined to
-//! `simd.rs`/`pool.rs`, every `unsafe` needs a `SAFETY:` comment, and
+//! `simd.rs`, every `unsafe` needs a `SAFETY:` comment, and
 //! the kernel-hot-path rule (no allocation, no `unwrap`/`expect`)
 //! applies.
 #![allow(unsafe_code)]

@@ -1,6 +1,6 @@
 //! Steady-state allocation regression test for the scalar fast backend
 //! (`Im2colGemm`); `alloc_regression_simd.rs` and
-//! `alloc_regression_int8.rs` hold the parallel `Simd` and `Int8` ones.
+//! `alloc_regression_int8.rs` hold the `Simd` and `Int8` ones.
 //!
 //! A worker that keeps one [`Scratch`](pico_tensor::Scratch) across its
 //! task stream and hands result buffers back via `Scratch::give` must

@@ -31,7 +31,7 @@ fn main() -> ExitCode {
 const USAGE: &str = "\
 usage: pico <command> [options]
        pico trace <summarize|validate> <file.json>
-       pico bench <kernels|planner|e2e> [options]
+       pico bench <kernels|planner> [options]
        pico fleet <build|show> [options]
 
 commands:
@@ -45,7 +45,7 @@ commands:
              micro-batching, audit-gated mid-trace warm swap)
   trace      summarize or validate a Chrome trace written by `run`
   bench      offline micro-benchmarks (compute kernels under every
-             backend, planner wall-time + calibration fit, end-to-end)
+             backend, planner wall-time + calibration fit)
   memory     per-device memory footprint of the PICO plan
   fleet      build the audit-certified Pareto plan frontier for a
              deployment through the process-wide plan cache (`build`),
@@ -82,6 +82,7 @@ options:
   --load <fraction>          `simulate`: arrival rate as a fraction of
                              EFL capacity (default 1.0)
   --minutes <m>              `simulate`: virtual duration (default 10)
+  --steps <n>                `frontier`: T_lim sweep steps (default 10)
   --tasks <n>                `run`: tasks to push through (default 4)
                              `serve`: trace arrivals (default 96)
   --seed <n>                 `run`/`serve`: synthetic weight/input seed
@@ -117,9 +118,6 @@ options:
                              engine (simd is bit-identical to the
                              scalar backends; int8 is tolerance-bounded
                              low-precision)
-  --threads <n>              `run`/`serve`: GEMM worker threads per
-                             engine (default 1; results are
-                             bit-identical for any thread count)
   --warmup/--iters/--runs <n> `bench`: measurement protocol overrides
   --json <file>              `bench`/`audit`: also write the
                              machine-readable report (round-tripped
@@ -127,10 +125,48 @@ options:
                              command succeeds)
                              `fleet build`: write the frontier artifact
   --gate-ratio <x>           `bench kernels`: fail unless simd beats
-                             the reference conv3x3/64ch case by >= x
-  --scaling-gate <x>         `bench kernels`: fail unless 4 simd
-                             threads beat 1 by >= x on the gate case
-                             (skipped on hosts with < 4 cores)";
+                             the reference conv3x3/64ch case by >= x";
+
+/// Every option the binary reads, as `(name, takes_value)`.
+/// [`Opts::parse`] rejects any other `--name`, so a typo or a retired
+/// flag is an error instead of being silently ignored.
+const OPTIONS: &[(&str, bool)] = &[
+    ("model", true),
+    ("cluster", true),
+    ("devices", true),
+    ("ghz", true),
+    ("bandwidth", true),
+    ("t-lim", true),
+    ("scheme", true),
+    ("memory-budget", true),
+    ("redundancy-limit", true),
+    ("deep", false),
+    ("lambda", true),
+    ("deep-memory-budget", true),
+    ("swap-budget", true),
+    ("channel-capacity", true),
+    ("load", true),
+    ("minutes", true),
+    ("steps", true),
+    ("tasks", true),
+    ("seed", true),
+    ("replay", true),
+    ("tenants", true),
+    ("swap-at", true),
+    ("adaptive", false),
+    ("min-replans", true),
+    ("replan-window", true),
+    ("throttle-scale", true),
+    ("fail-device", true),
+    ("churn", true),
+    ("trace", true),
+    ("backend", true),
+    ("warmup", true),
+    ("iters", true),
+    ("runs", true),
+    ("json", true),
+    ("gate-ratio", true),
+];
 
 /// Tiny hand-rolled `--key value` parser (no CLI dependency).
 struct Opts {
@@ -145,8 +181,10 @@ impl Opts {
             let Some(name) = key.strip_prefix("--") else {
                 return Err(format!("unexpected argument `{key}`"));
             };
-            // Boolean flags take no value.
-            if name == "deep" || name == "adaptive" {
+            let Some(&(_, takes_value)) = OPTIONS.iter().find(|(known, _)| *known == name) else {
+                return Err(format!("unknown option `--{name}`"));
+            };
+            if !takes_value {
                 pairs.push((name.to_owned(), "true".to_owned()));
                 continue;
             }
@@ -282,11 +320,6 @@ fn deployment_from(opts: &Opts) -> Result<Pico, String> {
         })?;
         pico = pico.with_backend(backend);
     }
-    let threads = opts.get_usize("threads", 1)?;
-    if threads == 0 {
-        return Err("need --threads >= 1".to_owned());
-    }
-    pico = pico.with_engine_threads(threads);
     Ok(pico)
 }
 
@@ -302,7 +335,7 @@ fn planner_by_name(name: &str) -> Result<Box<dyn Planner>, String> {
     })
 }
 
-/// `pico bench <kernels|planner|e2e>` — the offline micro-benchmark
+/// `pico bench <kernels|planner>` — the offline micro-benchmark
 /// suites, printed as a table and optionally written as strict JSON.
 fn bench_command(rest: &[String]) -> Result<(), String> {
     use pico::bench::harness::BenchConfig;
@@ -310,7 +343,7 @@ fn bench_command(rest: &[String]) -> Result<(), String> {
     use pico::bench::suites;
 
     let Some((suite, flags)) = rest.split_first() else {
-        return Err("usage: pico bench <kernels|planner|e2e> [options]".to_owned());
+        return Err("usage: pico bench <kernels|planner> [options]".to_owned());
     };
     let opts = Opts::parse(flags)?;
     let defaults = BenchConfig::default();
@@ -321,11 +354,15 @@ fn bench_command(rest: &[String]) -> Result<(), String> {
         return Err("need --iters >= 1 and --runs >= 1".to_owned());
     }
     let cfg = BenchConfig::new(warmup, iters, runs);
+    if suite != "kernels" && opts.get("gate-ratio").is_some() {
+        return Err("--gate-ratio applies to `bench kernels` only".to_owned());
+    }
+    // Without the option every measured speedup clears the gate.
+    let gate = opts.get_f64("gate-ratio", 0.0)?;
 
     let report = match suite.as_str() {
         "kernels" => suites::kernels(cfg),
         "planner" => suites::planner(cfg),
-        "e2e" => suites::e2e(cfg),
         other => return Err(format!("unknown bench suite `{other}`")),
     };
 
@@ -356,53 +393,12 @@ fn bench_command(rest: &[String]) -> Result<(), String> {
             "speedup {}: {scalar:.2}x im2col, {simd:.2}x simd over reference",
             suites::GATE_CASE
         );
-        let scaling = suites::thread_scaling(&report, suites::GATE_CASE)
-            .ok_or_else(|| "gate case missing from kernel report".to_owned())?;
-        println!(
-            "thread scaling {}: {scaling:.2}x simd 1 -> {} thread(s)",
-            suites::GATE_CASE,
-            suites::SCALING_THREADS
-        );
-        if let Some(gate) = opts.get("gate-ratio") {
-            let gate: f64 = gate
-                .parse()
-                .map_err(|_| format!("--gate-ratio: bad number `{gate}`"))?;
-            if simd < gate {
-                return Err(format!(
-                    "speedup gate failed: {simd:.2}x < required {gate:.2}x simd over \
-                     reference on {}",
-                    suites::GATE_CASE
-                ));
-            }
-        }
-        if let Some(gate) = opts.get("scaling-gate") {
-            let gate: f64 = gate
-                .parse()
-                .map_err(|_| format!("--scaling-gate: bad number `{gate}`"))?;
-            // The scaling smoke needs real cores to mean anything: a
-            // 1-core CI runner times the 4-thread row under contention,
-            // so the gate is enforced only where >= SCALING_THREADS
-            // cores exist.
-            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-            if cores < suites::SCALING_THREADS {
-                println!(
-                    "scaling gate skipped: {cores} core(s) < {} required",
-                    suites::SCALING_THREADS
-                );
-            } else if scaling < gate {
-                return Err(format!(
-                    "scaling gate failed: {scaling:.2}x < required {gate:.2}x for \
-                     {} thread(s) on {}",
-                    suites::SCALING_THREADS,
-                    suites::GATE_CASE
-                ));
-            }
-        }
-    } else {
-        for flag in ["gate-ratio", "scaling-gate"] {
-            if opts.get(flag).is_some() {
-                return Err(format!("--{flag} applies to `bench kernels` only"));
-            }
+        if simd < gate {
+            return Err(format!(
+                "speedup gate failed: {simd:.2}x < required {gate:.2}x simd over \
+                 reference on {}",
+                suites::GATE_CASE
+            ));
         }
     }
 
@@ -930,9 +926,6 @@ fn run(args: &[String]) -> Result<(), String> {
             if let Some(backend) = pico.backend() {
                 engine = engine.with_backend(backend);
             }
-            if pico.engine_threads() > 1 {
-                engine = engine.with_threads(pico.engine_threads());
-            }
             let params = pico.params();
             let replayer = Replayer::new(pico.model(), pico.cluster(), &params, &engine, rp.config)
                 .with_recorder(rec.clone());
@@ -1388,7 +1381,7 @@ mod tests {
     }
 
     #[test]
-    fn run_accepts_backend_and_threads_overrides() {
+    fn run_accepts_backend_overrides() {
         for backend in ["reference", "im2col", "simd", "int8"] {
             run(&sv(&[
                 "run",
@@ -1400,20 +1393,75 @@ mod tests {
                 "1",
                 "--backend",
                 backend,
-                "--threads",
-                "2",
             ]))
             .unwrap();
         }
-        let base = ["run", "--model", "mnist_toy", "--devices", "3"];
-        let with = |extra: &[&str]| {
-            let mut v = base.to_vec();
-            v.extend_from_slice(extra);
-            sv(&v)
-        };
-        assert!(run(&with(&["--backend", "avx512"])).is_err());
-        assert!(run(&with(&["--threads", "0"])).is_err());
-        assert!(run(&with(&["--threads", "abc"])).is_err());
+        assert!(run(&sv(&[
+            "run",
+            "--model",
+            "mnist_toy",
+            "--devices",
+            "3",
+            "--backend",
+            "avx512"
+        ]))
+        .is_err());
+    }
+
+    #[test]
+    fn unknown_options_are_rejected_by_name() {
+        // A retired flag or a typo must fail loudly, naming itself,
+        // instead of being parsed and never read.
+        for (args, flag) in [
+            (
+                &[
+                    "run",
+                    "--model",
+                    "mnist_toy",
+                    "--devices",
+                    "3",
+                    "--threads",
+                    "2",
+                ][..],
+                "--threads",
+            ),
+            (
+                &["bench", "kernels", "--scaling-gate", "2", "--iters", "1"][..],
+                "--scaling-gate",
+            ),
+            (&["plan", "--modle", "vgg16"][..], "--modle"),
+        ] {
+            let err = run(&sv(args)).unwrap_err();
+            assert!(err.contains(flag), "{args:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn every_ci_command_line_parses() {
+        // Each `pico` invocation in the CI workflow must name only
+        // options the binary reads (shell continuations joined first).
+        let ci = include_str!("../../.github/workflows/ci.yml").replace("\\\n", " ");
+        let mut checked = 0;
+        for line in ci.lines() {
+            let Some((_, cmd)) = line.split_once("--bin pico -- ") else {
+                continue;
+            };
+            let args: Vec<String> = cmd
+                .split_whitespace()
+                .map(|a| a.trim_matches('"').to_owned())
+                .collect();
+            let flags = match args[0].as_str() {
+                // `trace` takes positional operands only.
+                "trace" => continue,
+                "bench" | "fleet" => &args[2..],
+                _ => &args[1..],
+            };
+            if let Err(e) = Opts::parse(flags) {
+                panic!("{line}: {e}");
+            }
+            checked += 1;
+        }
+        assert!(checked >= 12, "only {checked} CI command line(s) found");
     }
 
     #[test]
@@ -1564,14 +1612,12 @@ mod tests {
             &path,
             "--gate-ratio",
             "0.0001",
-            "--scaling-gate",
-            "0.0001",
         ]))
         .unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let report = pico::bench::report::BenchReport::from_json(&text).unwrap();
         assert_eq!(report.suite, "kernels");
-        for backend in ["reference", "im2col", "simd", "int8", "simd_mt4"] {
+        for backend in ["reference", "im2col", "simd", "int8"] {
             assert!(report
                 .record(&format!("{}/{backend}", pico::bench::suites::GATE_CASE))
                 .is_some());
@@ -1594,13 +1640,12 @@ mod tests {
     }
 
     #[test]
-    fn bench_e2e_runs_and_bad_invocations_error() {
-        run(&sv(&[
-            "bench", "e2e", "--warmup", "0", "--iters", "1", "--runs", "1",
-        ]))
-        .unwrap();
+    fn bench_bad_invocations_error() {
         assert!(run(&sv(&["bench"])).is_err());
         assert!(run(&sv(&["bench", "frobnicate"])).is_err());
+        // The end-to-end suite is retired: `benchmark/` drives the
+        // real path.
+        assert!(run(&sv(&["bench", "e2e", "--iters", "1"])).is_err());
         assert!(run(&sv(&["bench", "kernels", "--iters", "0"])).is_err());
         assert!(run(&sv(&["bench", "kernels", "--iters", "abc"])).is_err());
         assert!(run(&sv(&[
@@ -1616,9 +1661,11 @@ mod tests {
             "1"
         ]))
         .is_err());
+        // The speedup gate belongs to the kernel suite; the planner
+        // suite refuses it before running anything.
         assert!(run(&sv(&[
             "bench",
-            "e2e",
+            "planner",
             "--gate-ratio",
             "3",
             "--iters",
@@ -1627,32 +1674,6 @@ mod tests {
             "0",
             "--runs",
             "1",
-        ]))
-        .is_err());
-        assert!(run(&sv(&[
-            "bench",
-            "planner",
-            "--scaling-gate",
-            "2",
-            "--iters",
-            "1",
-            "--warmup",
-            "0",
-            "--runs",
-            "1",
-        ]))
-        .is_err());
-        assert!(run(&sv(&[
-            "bench",
-            "kernels",
-            "--scaling-gate",
-            "abc",
-            "--iters",
-            "1",
-            "--warmup",
-            "0",
-            "--runs",
-            "1"
         ]))
         .is_err());
     }
