@@ -3,10 +3,12 @@
 //!
 //! A [`ClusterSchedule`] (DESIGN.md §17) slices the stream into
 //! *epochs* — maximal runs of tasks over one fixed membership. Inside
-//! an epoch only departures happen, and the in-run
-//! [`RecoveryPolicy`](pico_runtime::RecoveryPolicy) absorbs them
-//! exactly as in [`Pico::execute_resilient`]. At an epoch boundary
-//! devices join, rejoin, or change capacity, and the deployment must
+//! an epoch only departures happen: the epoch's
+//! [`leaves`](pico_partition::ChurnEpoch::leaves) go to the runtime
+//! as they are, and the in-run
+//! [`RecoveryPolicy`](pico_runtime::RecoveryPolicy) absorbs them. At
+//! an epoch boundary devices join, rejoin, or change capacity, and the
+//! deployment must
 //! *re-admit* them: stale plan-cache entries for the old membership are
 //! invalidated, a fresh frontier is built (or fetched) for the new
 //! membership, and the incoming plan only takes over after the deep
@@ -19,7 +21,7 @@
 use pico_audit::Auditor;
 use pico_fleet::{CacheKey, ClusterSignature, FleetConfig, FleetFrontier, PlanCache};
 use pico_partition::{ChurnError, ClusterSchedule, Plan, Scheme};
-use pico_runtime::{FailureSchedule, PipelineRuntime, RecoveryPolicy, RuntimeError};
+use pico_runtime::{RecoveryPolicy, RuntimeError};
 use pico_sim::{ReplanPolicy, ReplanVerdict, WorkloadBand};
 use pico_telemetry::{names, Ctx};
 use pico_tensor::Tensor;
@@ -262,11 +264,10 @@ impl Pico {
 
             if start < end {
                 let engine = self.engine(seed);
-                let policy = RecoveryPolicy::new(epoch.cluster.clone(), self.params());
-                let report = PipelineRuntime::builder(self.model(), &plan, &engine)
-                    .recorder(self.recorder().clone())
-                    .failure_schedule(FailureSchedule::from_leaves(&epoch.leaves))
-                    .recovery(policy)
+                let report = self
+                    .runtime(&plan, &engine)
+                    .leaves(&epoch.leaves)
+                    .recovery(RecoveryPolicy::new(epoch.cluster.clone(), self.params()))
                     .build()
                     .run(inputs[start..end].to_vec())?;
                 record.failures = report.failures.len();

@@ -34,9 +34,7 @@ use pico_partition::{
     BfsOptimal, Cluster, CostParams, EarlyFused, LayerWise, OptimalFused, PicoPlanner, Plan,
     PlanError, PlanMetrics, PlanRequest, Planner, Scheme,
 };
-use pico_runtime::{
-    FailureSchedule, PipelineRuntime, RecoveryPolicy, RunReport, RuntimeError, Throttle,
-};
+use pico_runtime::{PipelineRuntime, RunReport, RuntimeBuilder, RuntimeError};
 use pico_serve::{ServeError, ServeHandle, ServeRequest};
 use pico_sim::ReplanPolicy;
 use pico_sim::{AdaptiveScheduler, Arrivals, SchedulerDecision, SimReport, Simulation};
@@ -102,7 +100,7 @@ impl Pico {
 
     /// Builds a synthetic-weight engine for this deployment, applying
     /// the configured backend.
-    fn engine(&self, seed: u64) -> Engine<'_> {
+    pub fn engine(&self, seed: u64) -> Engine<'_> {
         let engine = Engine::with_seed(&self.model, seed);
         match self.backend {
             Some(backend) => engine.with_backend(backend),
@@ -216,10 +214,20 @@ impl Pico {
         Ok(sched.run(&sim, arrivals))
     }
 
+    /// Starts a threaded runtime for `plan` on this deployment's model,
+    /// with the deployment's recorder already attached. Add a
+    /// [`Throttle`](pico_runtime::Throttle), scripted
+    /// [`leaves`](RuntimeBuilder::leaves) or a
+    /// [`RecoveryPolicy`](pico_runtime::RecoveryPolicy) on the
+    /// returned builder; `engine` usually comes from
+    /// [`Pico::engine`].
+    pub fn runtime<'a>(&'a self, plan: &'a Plan, engine: &'a Engine<'a>) -> RuntimeBuilder<'a> {
+        PipelineRuntime::builder(&self.model, plan, engine).recorder(self.recorder.clone())
+    }
+
     /// Executes a plan for real on threads, with synthetic weights from
-    /// `seed`, and checks nothing — outputs are whatever the engine
-    /// computes (use [`Pico::execute_verified`] to compare against
-    /// single-device inference).
+    /// `seed`. Outputs are whatever the engine computes; compare them
+    /// against `self.engine(seed).infer(..)` to check the split/stitch.
     ///
     /// # Errors
     ///
@@ -231,67 +239,7 @@ impl Pico {
         seed: u64,
     ) -> Result<RunReport, RuntimeError> {
         let engine = self.engine(seed);
-        PipelineRuntime::builder(&self.model, plan, &engine)
-            .recorder(self.recorder.clone())
-            .build()
-            .run(inputs)
-    }
-
-    /// Executes a plan with cost-model-proportional throttling, making
-    /// relative stage times observable on a development machine.
-    ///
-    /// # Errors
-    ///
-    /// Propagates runtime failures.
-    pub fn execute_throttled(
-        &self,
-        plan: &Plan,
-        inputs: Vec<Tensor>,
-        seed: u64,
-        scale: f64,
-    ) -> Result<RunReport, RuntimeError> {
-        let engine = self.engine(seed);
-        let throttle = Throttle::new(self.cluster.clone(), self.params, scale);
-        PipelineRuntime::builder(&self.model, plan, &engine)
-            .recorder(self.recorder.clone())
-            .throttle(throttle)
-            .build()
-            .run(inputs)
-    }
-
-    /// Executes a plan and verifies every output equals single-device
-    /// inference, returning the report on success.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`RuntimeError::Tensor`] wrapping the mismatch when the
-    /// pipeline diverges (which would indicate a bug in split/stitch),
-    /// or any runtime failure.
-    pub fn execute_verified(
-        &self,
-        plan: &Plan,
-        inputs: Vec<Tensor>,
-        seed: u64,
-    ) -> Result<RunReport, RuntimeError> {
-        let engine = self.engine(seed);
-        let report = PipelineRuntime::builder(&self.model, plan, &engine)
-            .recorder(self.recorder.clone())
-            .build()
-            .run(inputs.clone())?;
-        for (i, input) in inputs.iter().enumerate() {
-            let reference = engine.infer(input)?;
-            if report.outputs[i] != reference {
-                return Err(RuntimeError::Tensor(
-                    pico_tensor::TensorError::StitchMismatch {
-                        detail: format!(
-                        "task {i}: pipelined output diverges from single-device inference by {}",
-                        report.outputs[i].max_abs_diff(&reference)
-                    ),
-                    },
-                ));
-            }
-        }
-        Ok(report)
+        self.runtime(plan, &engine).build().run(inputs)
     }
 
     /// Human-readable description of a plan.
@@ -322,39 +270,6 @@ impl Pico {
             ));
         }
         out
-    }
-
-    /// Executes a plan with **in-run** fault tolerance: the scripted
-    /// `schedule` injects device failures mid-stream, and a
-    /// [`RecoveryPolicy`] detects them, retries the dead worker's shard
-    /// on survivors of the same stage, and re-plans the pipeline over
-    /// the surviving cluster when a stage loses every worker — without
-    /// restarting the tasks already completed.
-    ///
-    /// The report carries [`RunReport::failures`] (every device declared
-    /// dead, with the task it died on) and [`RunReport::degraded_plan`]
-    /// (the re-planned pipeline, if one was installed).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::RecoveryFailed`] when re-planning over
-    /// the survivors is impossible (e.g. the cluster is exhausted), or
-    /// any non-failure runtime error as-is.
-    pub fn execute_resilient(
-        &self,
-        plan: &Plan,
-        inputs: Vec<Tensor>,
-        seed: u64,
-        schedule: FailureSchedule,
-    ) -> Result<RunReport, RuntimeError> {
-        let engine = self.engine(seed);
-        let policy = RecoveryPolicy::new(self.cluster.clone(), self.params);
-        PipelineRuntime::builder(&self.model, plan, &engine)
-            .recorder(self.recorder.clone())
-            .failure_schedule(schedule)
-            .recovery(policy)
-            .build()
-            .run(inputs)
     }
 
     /// Traces the period/latency Pareto frontier (Eq. 1's trade-off)
@@ -450,6 +365,7 @@ impl Pico {
 mod tests {
     use super::*;
     use pico_model::zoo;
+    use pico_runtime::RecoveryPolicy;
 
     fn deployment() -> Pico {
         Pico::new(zoo::vgg16().features(), Cluster::pi_cluster(8, 1.0))
@@ -504,12 +420,12 @@ mod tests {
     }
 
     #[test]
-    fn execute_verified_small_model() {
+    fn execute_matches_single_device_inference() {
         let pico = Pico::new(zoo::mnist_toy(), Cluster::pi_cluster(3, 1.0));
         let plan = pico.plan().unwrap();
-        let inputs = vec![Tensor::random(pico.model().input_shape(), 5)];
-        let report = pico.execute_verified(&plan, inputs, 77).unwrap();
-        assert_eq!(report.outputs.len(), 1);
+        let input = Tensor::random(pico.model().input_shape(), 5);
+        let report = pico.execute(&plan, vec![input.clone()], 77).unwrap();
+        assert_eq!(report.outputs, vec![pico.engine(77).infer(&input).unwrap()]);
     }
 
     #[test]
@@ -536,8 +452,13 @@ mod tests {
         let reference = pico.execute(&plan, inputs.clone(), 13).unwrap();
         // Kill a stage-0 device after it served the first task.
         let victim = plan.stages[0].assignments[0].device;
+        let engine = pico.engine(13);
         let report = pico
-            .execute_resilient(&plan, inputs, 13, FailureSchedule::new().fail(victim, 1))
+            .runtime(&plan, &engine)
+            .leaves(&[(victim, 1)])
+            .recovery(RecoveryPolicy::new(pico.cluster().clone(), pico.params()))
+            .build()
+            .run(inputs)
             .unwrap();
         assert_eq!(report.outputs, reference.outputs);
         assert!(report.failures.iter().any(|f| f.device == victim));

@@ -1,11 +1,13 @@
 //! Cluster churn: deterministic membership-change schedules.
 //!
-//! The runtime's fail-stop `FailureSchedule` model scripts devices
-//! that die and never return. Real edge fleets *churn*:
-//! devices leave, rejoin (possibly at a different clock), join fresh,
-//! or get re-provisioned mid-stream. This module generalizes the
-//! fail-stop script into a [`ClusterSchedule`] of [`ChurnEvent`]s that
-//! both the pipeline runtime and the discrete-event simulator consume:
+//! A fail-stop model scripts devices that die and never return. Real
+//! edge fleets *churn*: devices leave, rejoin (possibly at a different
+//! clock), join fresh, or get re-provisioned mid-stream. This module
+//! scripts both as one [`ClusterSchedule`] of [`ChurnEvent`]s — the
+//! only departure script in the workspace — that the pipeline runtime
+//! and the discrete-event simulator consume alike, each epoch's
+//! [`ChurnEpoch::leaves`] being the `(device, from_task)` slice both
+//! take:
 //!
 //! * [`ClusterSchedule`] — plain data, sorted by task index, so the
 //!   same schedule replayed against the same plan and seed reproduces

@@ -3,7 +3,7 @@ use pico_partition::Plan;
 use pico_telemetry::Recorder;
 use pico_tensor::{Engine, EngineBackend};
 
-use crate::fault::{FailureSchedule, RecoveryPolicy};
+use crate::fault::RecoveryPolicy;
 use crate::{PipelineRuntime, Throttle};
 
 /// Configures a [`PipelineRuntime`] with named setters instead of the
@@ -33,12 +33,11 @@ pub struct RuntimeBuilder<'a> {
     plan: &'a Plan,
     engine: &'a Engine<'a>,
     throttle: Option<Throttle>,
-    schedule: FailureSchedule,
+    leaves: Vec<(usize, usize)>,
     recovery: Option<RecoveryPolicy>,
     recorder: Recorder,
     channel_capacity: Option<usize>,
     backend: Option<EngineBackend>,
-    device_backends: Vec<(usize, EngineBackend)>,
 }
 
 impl<'a> RuntimeBuilder<'a> {
@@ -48,12 +47,11 @@ impl<'a> RuntimeBuilder<'a> {
             plan,
             engine,
             throttle: None,
-            schedule: FailureSchedule::new(),
+            leaves: Vec::new(),
             recovery: None,
             recorder: Recorder::noop(),
             channel_capacity: None,
             backend: None,
-            device_backends: Vec::new(),
         }
     }
 
@@ -65,8 +63,10 @@ impl<'a> RuntimeBuilder<'a> {
         self
     }
 
-    /// Sleeps each worker to its cost-model duration, so wall-clock
-    /// behaviour follows the analytic model (Sec. III).
+    /// Sleeps each stage to its cost-model duration (Eq. 9): workers to
+    /// their compute time, the stage coordinator to the stage's summed
+    /// transfer time (Eq. 8), so wall-clock behaviour follows the
+    /// analytic model (Sec. III).
     pub fn throttle(mut self, throttle: Throttle) -> Self {
         self.throttle = Some(throttle);
         self
@@ -88,26 +88,14 @@ impl<'a> RuntimeBuilder<'a> {
         self
     }
 
-    /// Marks a device as failed from the first task on (its worker
-    /// errors instead of computing) — failure injection for tests and
-    /// chaos experiments. May be called repeatedly to fail several
-    /// devices; shorthand for a [`FailureSchedule`] entry at task 0.
-    pub fn failed_device(mut self, device: usize) -> Self {
-        self.schedule = self.schedule.fail(device, 0);
-        self
-    }
-
-    /// Installs a deterministic failure script: each entry makes a
-    /// device fail (or stall, then fail) from a given task index on.
-    /// Entries accumulate with any prior
-    /// [`failed_device`](Self::failed_device) calls.
-    pub fn failure_schedule(mut self, schedule: FailureSchedule) -> Self {
-        for f in schedule.entries() {
-            self.schedule = match f.stall {
-                Some(stall) => self.schedule.fail_with_stall(f.device, f.from_task, stall),
-                None => self.schedule.fail(f.device, f.from_task),
-            };
-        }
+    /// Injects departures: each `(device, from_task)` entry makes the
+    /// device's workers error instead of computing on every task whose
+    /// index is `>= from_task`. This is a churn epoch's
+    /// [`leaves`](pico_partition::ChurnEpoch::leaves) — script
+    /// departures with a [`ClusterSchedule`](pico_partition::ClusterSchedule)
+    /// and pass the epoch's slice here. Entries accumulate across calls.
+    pub fn leaves(mut self, leaves: &[(usize, usize)]) -> Self {
+        self.leaves.extend_from_slice(leaves);
         self
     }
 
@@ -120,19 +108,10 @@ impl<'a> RuntimeBuilder<'a> {
     }
 
     /// Overrides the compute backend for every worker, forking the
-    /// engine once at build time (weights and thread pool are shared
-    /// with the original; see [`Engine::fork_backend`]).
+    /// engine once at build time (weights are shared with the
+    /// original; see [`Engine::fork_backend`]).
     pub fn backend(mut self, backend: EngineBackend) -> Self {
         self.backend = Some(backend);
-        self
-    }
-
-    /// Overrides the compute backend for one device's workers — how a
-    /// heterogeneous cluster runs e.g. int8 on its weakest device while
-    /// the rest stay f32. Wins over [`RuntimeBuilder::backend`]; the
-    /// last call for a device wins. Forks happen once at build time.
-    pub fn device_backend(mut self, device: usize, backend: EngineBackend) -> Self {
-        self.device_backends.push((device, backend));
         self
     }
 
@@ -145,24 +124,18 @@ impl<'a> RuntimeBuilder<'a> {
     /// this workspace).
     pub fn build(self) -> PipelineRuntime<'a> {
         PipelineRuntime::validate_plan_shape(self.model, self.plan);
-        // Forks are created once here, outside any worker thread, so
-        // scoped workers can simply borrow them — and an Int8 fork
-        // pays its one-time weight quantization up front, not on the
-        // serving path.
-        let default_fork = self.backend.map(|b| self.engine.fork_backend(b));
-        let device_forks = self
-            .device_backends
-            .iter()
-            .map(|&(d, b)| (d, self.engine.fork_backend(b)))
-            .collect();
+        // The fork is created once here, outside any worker thread, so
+        // scoped workers can simply borrow it — and an Int8 fork pays
+        // its one-time weight quantization up front, not on the serving
+        // path.
+        let fork = self.backend.map(|b| self.engine.fork_backend(b));
         PipelineRuntime {
             model: self.model,
             plan: self.plan,
             engine: self.engine,
-            default_fork,
-            device_forks,
+            fork,
             throttle: self.throttle,
-            schedule: self.schedule,
+            leaves: self.leaves,
             recovery: self.recovery,
             recorder: self.recorder,
             channel_capacity: self.channel_capacity,
@@ -186,13 +159,13 @@ mod tests {
         let rt = PipelineRuntime::builder(&m, &plan, &engine).build();
         assert!(!rt.recorder.is_enabled());
         assert!(rt.throttle.is_none());
-        assert!(rt.schedule.is_empty());
+        assert!(rt.leaves.is_empty());
         assert!(rt.recovery.is_none());
         assert!(rt.channel_capacity.is_none());
     }
 
     #[test]
-    fn failure_schedule_accumulates_with_failed_device() {
+    fn leaves_accumulate_across_calls() {
         let m = pico_model::zoo::mnist_toy();
         let c = Cluster::pi_cluster(4, 1.0);
         let plan = PicoPlanner
@@ -200,13 +173,10 @@ mod tests {
             .unwrap();
         let engine = Engine::with_seed(&m, 1);
         let rt = PipelineRuntime::builder(&m, &plan, &engine)
-            .failed_device(2)
-            .failure_schedule(FailureSchedule::new().fail(3, 5))
+            .leaves(&[(2, 0)])
+            .leaves(&[(3, 5)])
             .build();
-        assert_eq!(rt.schedule.entries().len(), 2);
-        assert!(rt.schedule.injected(2, 0).is_some());
-        assert!(rt.schedule.injected(3, 4).is_none());
-        assert!(rt.schedule.injected(3, 5).is_some());
+        assert_eq!(rt.leaves, vec![(2, 0), (3, 5)]);
     }
 
     #[test]

@@ -1,10 +1,13 @@
-//! Failure injection, failure records, and the recovery policy.
+//! Failure records and the recovery policy.
 //!
-//! Three pieces cooperate to make degraded-mode execution testable:
+//! Departures are scripted with a
+//! [`ClusterSchedule`](pico_partition::ClusterSchedule); its per-epoch
+//! `(device, from_task)` projection
+//! ([`ChurnEpoch::leaves`](pico_partition::ChurnEpoch::leaves)) reaches
+//! the runtime through [`RuntimeBuilder::leaves`](crate::RuntimeBuilder::leaves),
+//! the same slice the discrete-event simulator's `with_failures` takes.
+//! Two pieces here cooperate with it:
 //!
-//! * [`FailureSchedule`] — a deterministic script of injected failures
-//!   (device × first-failing-task, optionally with a stall), so chaos
-//!   tests reproduce byte-for-byte across runs;
 //! * [`FailureRecord`] — what the runtime observed: which device died,
 //!   at which stage and task, and why (populated into
 //!   [`RunReport::failures`](crate::RunReport::failures));
@@ -15,90 +18,7 @@
 
 use std::time::Duration;
 
-use pico_partition::{Cluster, CostParams, PicoPlanner, Planner};
-
-/// One scripted failure: `device` errors on every task whose index is
-/// `>= from_task`. With a [`stall`](InjectedFailure::stall) the worker
-/// first goes silent for that long — exercising timeout-based detection
-/// instead of the explicit error signal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InjectedFailure {
-    /// The device that fails.
-    pub device: usize,
-    /// First task index (submission order) the failure applies to.
-    pub from_task: usize,
-    /// Sleep this long before signalling the error (simulates a hung
-    /// device; pair with [`RecoveryPolicy::with_task_timeout`]).
-    pub stall: Option<Duration>,
-}
-
-/// A deterministic script of injected failures for chaos experiments.
-///
-/// Schedules are plain data: the same schedule against the same plan
-/// and seed reproduces the same failure sequence, which is what lets
-/// the chaos harness assert bit-exact outputs under faults.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FailureSchedule {
-    failures: Vec<InjectedFailure>,
-}
-
-impl FailureSchedule {
-    /// An empty schedule (no injected failures).
-    pub fn new() -> Self {
-        FailureSchedule::default()
-    }
-
-    /// Adds a failure: `device` errors on every task `>= from_task`.
-    pub fn fail(mut self, device: usize, from_task: usize) -> Self {
-        self.failures.push(InjectedFailure {
-            device,
-            from_task,
-            stall: None,
-        });
-        self
-    }
-
-    /// Adds a stalling failure: `device` goes silent for `stall`
-    /// before erroring, on every task `>= from_task`.
-    pub fn fail_with_stall(mut self, device: usize, from_task: usize, stall: Duration) -> Self {
-        self.failures.push(InjectedFailure {
-            device,
-            from_task,
-            stall: Some(stall),
-        });
-        self
-    }
-
-    /// Builds a schedule from `(device, from_task)` pairs — the shape a
-    /// churn epoch's [`ChurnEpoch::leaves`](pico_partition::ChurnEpoch)
-    /// carries, with `from_task` already rebased to the epoch's own task
-    /// numbering so a rejoined device starts the next epoch as a fresh
-    /// worker with no stale failure entry.
-    pub fn from_leaves(leaves: &[(usize, usize)]) -> Self {
-        let mut s = FailureSchedule::new();
-        for &(device, from_task) in leaves {
-            s = s.fail(device, from_task);
-        }
-        s
-    }
-
-    /// Whether the schedule injects nothing.
-    pub fn is_empty(&self) -> bool {
-        self.failures.is_empty()
-    }
-
-    /// The scripted failures, in insertion order.
-    pub fn entries(&self) -> &[InjectedFailure] {
-        &self.failures
-    }
-
-    /// The failure (if any) that applies to `device` working on `task`.
-    pub fn injected(&self, device: usize, task: usize) -> Option<&InjectedFailure> {
-        self.failures
-            .iter()
-            .find(|f| f.device == device && task >= f.from_task)
-    }
-}
+use pico_partition::{Cluster, CostParams};
 
 /// What the runtime observed about one device failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -113,25 +33,18 @@ pub struct FailureRecord {
     pub cause: String,
 }
 
-/// Retry/backoff/timeout knobs, copied into each stage coordinator so
-/// the serving threads never touch the (non-`Copy`) policy itself.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RetryKnobs {
-    pub max_retries: usize,
-    pub backoff_base: Duration,
-    pub backoff_cap: Duration,
-    pub task_timeout: Option<Duration>,
-}
+/// Retry rounds per task beyond the first attempt.
+pub(crate) const MAX_RETRIES: usize = 3;
+/// Backoff before the first retry round; each later round doubles it.
+const BACKOFF_BASE: Duration = Duration::from_millis(1);
+/// Ceiling on the doubled backoff.
+const BACKOFF_CAP: Duration = Duration::from_millis(50);
 
-impl RetryKnobs {
-    /// Backoff before retry round `round` (1-based): `base * 2^(round-1)`
-    /// capped at `backoff_cap`.
-    pub fn delay_for_round(&self, round: usize) -> Duration {
-        let shift = round.saturating_sub(1).min(16) as u32;
-        self.backoff_base
-            .saturating_mul(1 << shift)
-            .min(self.backoff_cap)
-    }
+/// Backoff before retry round `round` (1-based): `BACKOFF_BASE ·
+/// 2^(round-1)`, capped at `BACKOFF_CAP`.
+pub(crate) fn backoff(round: usize) -> Duration {
+    let shift = round.saturating_sub(1).min(16) as u32;
+    BACKOFF_BASE.saturating_mul(1 << shift).min(BACKOFF_CAP)
 }
 
 /// How the runtime responds to device failures.
@@ -140,55 +53,27 @@ impl RetryKnobs {
 /// [`RuntimeBuilder::recovery`](crate::RuntimeBuilder::recovery)), a
 /// worker error or response timeout classifies the device as dead
 /// instead of failing the run: its shard is retried on a surviving
-/// device of the same stage, and when a stage loses every worker the
-/// runtime re-plans over the surviving cluster (the policy's planner
-/// with the dead devices excluded) and resumes the task stream.
+/// device of the same stage (up to 3 rounds, backing off 1 ms doubling
+/// to 50 ms), and when a stage loses every worker the runtime re-plans
+/// with [`PicoPlanner`](pico_partition::PicoPlanner) over the surviving
+/// cluster and resumes the task stream.
+#[derive(Debug)]
 pub struct RecoveryPolicy {
     pub(crate) cluster: Cluster,
     pub(crate) params: CostParams,
-    pub(crate) planner: Box<dyn Planner>,
-    pub(crate) max_retries: usize,
-    pub(crate) backoff_base: Duration,
-    pub(crate) backoff_cap: Duration,
     pub(crate) task_timeout: Option<Duration>,
 }
 
 impl RecoveryPolicy {
-    /// A policy that re-plans with [`PicoPlanner`] over `cluster` /
-    /// `params` (pass the same pair the original plan came from), with
-    /// defaults tuned for tests: 3 retry rounds, 1 ms base backoff
-    /// capped at 50 ms, and no response timeout (failures are detected
-    /// from explicit worker errors only).
+    /// A policy that re-plans over `cluster` / `params` (pass the same
+    /// pair the original plan came from), with no response timeout
+    /// (failures are detected from explicit worker errors only).
     pub fn new(cluster: Cluster, params: CostParams) -> Self {
         RecoveryPolicy {
             cluster,
             params,
-            planner: Box::new(PicoPlanner),
-            max_retries: 3,
-            backoff_base: Duration::from_millis(1),
-            backoff_cap: Duration::from_millis(50),
             task_timeout: None,
         }
-    }
-
-    /// Re-plans with `planner` instead of the default [`PicoPlanner`].
-    pub fn with_planner(mut self, planner: impl Planner + 'static) -> Self {
-        self.planner = Box::new(planner);
-        self
-    }
-
-    /// Caps the retry rounds per task (beyond the first attempt).
-    pub fn with_max_retries(mut self, rounds: usize) -> Self {
-        self.max_retries = rounds;
-        self
-    }
-
-    /// Sets the exponential backoff between retry rounds: round `r`
-    /// sleeps `base * 2^(r-1)`, capped at `cap`.
-    pub fn with_backoff(mut self, base: Duration, cap: Duration) -> Self {
-        self.backoff_base = base;
-        self.backoff_cap = cap;
-        self
     }
 
     /// Classifies a worker as dead when it does not answer within
@@ -200,28 +85,6 @@ impl RecoveryPolicy {
         self.task_timeout = Some(timeout);
         self
     }
-
-    pub(crate) fn knobs(&self) -> RetryKnobs {
-        RetryKnobs {
-            max_retries: self.max_retries,
-            backoff_base: self.backoff_base,
-            backoff_cap: self.backoff_cap,
-            task_timeout: self.task_timeout,
-        }
-    }
-}
-
-impl std::fmt::Debug for RecoveryPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RecoveryPolicy")
-            .field("cluster", &self.cluster.len())
-            .field("planner", &self.planner.name())
-            .field("max_retries", &self.max_retries)
-            .field("backoff_base", &self.backoff_base)
-            .field("backoff_cap", &self.backoff_cap)
-            .field("task_timeout", &self.task_timeout)
-            .finish()
-    }
 }
 
 #[cfg(test)]
@@ -229,41 +92,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn schedule_matches_from_first_failing_task() {
-        let s = FailureSchedule::new().fail(2, 3);
-        assert!(s.injected(2, 2).is_none());
-        assert!(s.injected(2, 3).is_some());
-        assert!(s.injected(2, 9).is_some());
-        assert!(s.injected(1, 9).is_none());
-        assert!(!s.is_empty());
-        assert_eq!(s.entries().len(), 1);
-    }
-
-    #[test]
-    fn stall_rides_along() {
-        let s = FailureSchedule::new().fail_with_stall(0, 1, Duration::from_millis(5));
-        let f = s.injected(0, 1).unwrap();
-        assert_eq!(f.stall, Some(Duration::from_millis(5)));
-    }
-
-    #[test]
-    fn backoff_grows_and_caps() {
-        let k = RetryKnobs {
-            max_retries: 5,
-            backoff_base: Duration::from_millis(2),
-            backoff_cap: Duration::from_millis(7),
-            task_timeout: None,
-        };
-        assert_eq!(k.delay_for_round(1), Duration::from_millis(2));
-        assert_eq!(k.delay_for_round(2), Duration::from_millis(4));
-        assert_eq!(k.delay_for_round(3), Duration::from_millis(7));
-        assert_eq!(k.delay_for_round(30), Duration::from_millis(7));
-    }
-
-    #[test]
-    fn policy_debug_names_the_planner() {
-        let p = RecoveryPolicy::new(Cluster::pi_cluster(2, 1.0), CostParams::default());
-        let dbg = format!("{p:?}");
-        assert!(dbg.contains("PICO"), "got {dbg}");
+    fn backoff_doubles_and_caps() {
+        assert_eq!(backoff(1), Duration::from_millis(1));
+        assert_eq!(backoff(2), Duration::from_millis(2));
+        assert_eq!(backoff(6), Duration::from_millis(32));
+        assert_eq!(backoff(7), Duration::from_millis(50));
+        assert_eq!(backoff(30), Duration::from_millis(50));
     }
 }

@@ -15,11 +15,13 @@
 //! * **Mechanics** — queues, split/stitch, and stage concurrency are
 //!   real; wall-clock fidelity to the Raspberry Pi testbed is the
 //!   simulator's job (`pico-sim`), not this crate's. An optional
-//!   [`Throttle`] stretches per-device compute to cost-model
-//!   proportions, which makes relative speedups observable on a laptop.
-//! * **Failure injection** — a deterministic [`FailureSchedule`]
-//!   scripts which devices fail (or stall) from which task on; without
-//!   a recovery policy the error surfaces from [`PipelineRuntime::run`]
+//!   [`Throttle`] stretches each stage to cost-model proportions —
+//!   worker compute per Eq. 5–6, the stage's summed transfers per
+//!   Eq. 8 — which makes relative speedups observable on a laptop.
+//! * **Failure injection** — [`RuntimeBuilder::leaves`] takes the
+//!   `(device, from_task)` departures of a [`ClusterSchedule`] epoch
+//!   (the same slice the simulator's `with_failures` takes); without a
+//!   recovery policy the error surfaces from [`PipelineRuntime::run`]
 //!   instead of hanging the pipeline, and simultaneous failures are all
 //!   reported ([`RuntimeError::Multiple`]).
 //! * **Degraded-mode execution** — with a [`RecoveryPolicy`], failures
@@ -68,9 +70,9 @@ pub mod topology;
 
 pub use builder::RuntimeBuilder;
 pub use error::RuntimeError;
-pub use fault::{FailureRecord, FailureSchedule, InjectedFailure, RecoveryPolicy};
+pub use fault::{FailureRecord, RecoveryPolicy};
 // Churn is modelled one layer down so the simulator can share it; the
-// runtime consumes epochs as failure schedules (`FailureSchedule::from_leaves`).
+// runtime consumes an epoch's departures via `RuntimeBuilder::leaves`.
 pub use pico_partition::{
     ChurnEpoch, ChurnError, ChurnEvent, ChurnKind, ChurnMembership, ClusterSchedule,
 };

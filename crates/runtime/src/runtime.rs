@@ -4,11 +4,11 @@ use std::time::{Duration, Instant};
 #[cfg(test)]
 use pico_model::Rows;
 use pico_model::{Model, Region2, Segment};
-use pico_partition::{Plan, PlanRequest};
+use pico_partition::{PicoPlanner, Plan, PlanRequest, Planner};
 use pico_telemetry::{names, Ctx, Recorder};
 use pico_tensor::{Engine, Scratch, Tensor};
 
-use crate::fault::{FailureRecord, FailureSchedule, RecoveryPolicy, RetryKnobs};
+use crate::fault::{backoff, FailureRecord, RecoveryPolicy, MAX_RETRIES};
 use crate::{RuntimeBuilder, RuntimeError, Throttle};
 
 /// Completion record for one task.
@@ -149,33 +149,30 @@ struct StageComm {
     output_bytes: u64,
 }
 
-/// What one attempt (one plan over one slice of the task stream)
-/// produced.
-struct Attempt {
-    outputs: Vec<Tensor>,
+/// What a driven pipeline hands back once it has drained.
+struct Drained {
     timings: Vec<TaskTiming>,
     stage_stats: Vec<StageStat>,
     failures: Vec<FailureRecord>,
     dead_devices: Vec<usize>,
-    /// `Some((stage, task))` when a stage lost every worker and the
-    /// attempt stopped serving at `task`.
-    lost: Option<(usize, usize)>,
 }
 
 /// The per-stage serving loop — split, scatter, gather, stitch — plus
 /// failure detection (worker errors and response timeouts) and shard
-/// retry on surviving workers when retry knobs are installed.
-struct StageCoordinator {
+/// retry on surviving workers when a recovery policy is installed.
+struct StageCoordinator<'p> {
     stage: usize,
     work_tx: Vec<SyncSender<WorkUnit>>,
     done_rx: Vec<Receiver<DoneMsg>>,
     in_regions: Vec<Region2>,
     devices: Vec<usize>,
     comm: StageComm,
+    /// The stage's throttled transfer time per task (zero unthrottled).
+    transfer: Duration,
     rec: Recorder,
     enabled: bool,
     start: Instant,
-    knobs: Option<RetryKnobs>,
+    recovery: Option<&'p RecoveryPolicy>,
     dead: Vec<bool>,
     failures: Vec<FailureRecord>,
 }
@@ -187,7 +184,7 @@ struct CoordOutcome {
     dead_devices: Vec<usize>,
 }
 
-impl StageCoordinator {
+impl StageCoordinator<'_> {
     /// Classifies worker `w` as dead: records the failure and emits the
     /// `device_failed` instant. Idempotent per worker.
     fn mark_dead(&mut self, w: usize, task: usize, cause: String) {
@@ -296,7 +293,7 @@ impl StageCoordinator {
         task: usize,
         fmap: &Tensor,
         begin: f64,
-        k: RetryKnobs,
+        task_timeout: Option<Duration>,
     ) -> Result<Vec<Tensor>, RuntimeError> {
         let w_count = self.work_tx.len();
         let mut results: Vec<Option<Tensor>> = (0..w_count).map(|_| None).collect();
@@ -307,17 +304,14 @@ impl StageCoordinator {
                 break;
             }
             let alive: Vec<usize> = (0..w_count).filter(|&i| !self.dead[i]).collect();
-            if alive.is_empty() || round > k.max_retries {
+            if alive.is_empty() || round > MAX_RETRIES {
                 return Err(RuntimeError::StageLost {
                     stage: self.stage,
                     task,
                 });
             }
             if round > 0 {
-                let delay = k.delay_for_round(round);
-                if !delay.is_zero() {
-                    std::thread::sleep(delay);
-                }
+                std::thread::sleep(backoff(round));
             }
             // Route: a shard stays on its home worker while that worker
             // is alive, otherwise round-robins over the survivors.
@@ -370,7 +364,7 @@ impl StageCoordinator {
             for (w, &n_sent) in sent.iter().enumerate() {
                 let mut expect = n_sent;
                 while expect > 0 && !self.dead[w] {
-                    let msg = match k.task_timeout {
+                    let msg = match task_timeout {
                         Some(t) => match self.done_rx[w].recv_timeout(t) {
                             Ok(m) => Some(m),
                             Err(RecvTimeoutError::Timeout) => {
@@ -432,12 +426,17 @@ impl StageCoordinator {
             // stage_busy span: RunReport.stage_stats is a derived view
             // of the trace by construction.
             let begin = self.start.elapsed().as_secs_f64();
-            let gathered = match self.knobs {
-                Some(k) => self.process_task_retry(task, &fmap, begin, k),
+            let gathered = match self.recovery {
+                Some(policy) => self.process_task_retry(task, &fmap, begin, policy.task_timeout),
                 None => self.process_task_legacy(task, &fmap, begin),
             };
             match gathered {
                 Ok(tiles) => {
+                    // Eq. 8: the stage's members share one link, so
+                    // their transfers add up, once per task.
+                    if !self.transfer.is_zero() {
+                        std::thread::sleep(self.transfer);
+                    }
                     let stitch_from = if self.enabled {
                         self.start.elapsed().as_secs_f64()
                     } else {
@@ -512,14 +511,13 @@ pub struct PipelineRuntime<'a> {
     pub(crate) model: &'a Model,
     pub(crate) plan: &'a Plan,
     pub(crate) engine: &'a Engine<'a>,
-    /// Whole-run backend override (`RuntimeBuilder::backend`), forked
-    /// from `engine` at build time.
-    pub(crate) default_fork: Option<Engine<'a>>,
-    /// Per-device backend overrides (`RuntimeBuilder::device_backend`),
-    /// each an engine fork sharing the original weights.
-    pub(crate) device_forks: Vec<(usize, Engine<'a>)>,
+    /// Backend override (`RuntimeBuilder::backend`), forked from
+    /// `engine` at build time.
+    pub(crate) fork: Option<Engine<'a>>,
     pub(crate) throttle: Option<Throttle>,
-    pub(crate) schedule: FailureSchedule,
+    /// Scripted departures `(device, from_task)`
+    /// (`RuntimeBuilder::leaves`).
+    pub(crate) leaves: Vec<(usize, usize)>,
     pub(crate) recovery: Option<RecoveryPolicy>,
     pub(crate) recorder: Recorder,
     pub(crate) channel_capacity: Option<usize>,
@@ -544,20 +542,6 @@ impl<'a> PipelineRuntime<'a> {
     /// injection, recovery policy) instead of positional arguments.
     pub fn builder(model: &'a Model, plan: &'a Plan, engine: &'a Engine<'a>) -> RuntimeBuilder<'a> {
         RuntimeBuilder::new(model, plan, engine)
-    }
-
-    /// The engine a device's worker threads dispatch to: its own fork
-    /// when one was configured, else the whole-run fork, else the
-    /// shared engine. Duplicate `device_backend` calls resolve to the
-    /// last one.
-    pub(crate) fn engine_for(&self, device: usize) -> &Engine<'a> {
-        self.device_forks
-            .iter()
-            .rev()
-            .find(|(d, _)| *d == device)
-            .map(|(_, e)| e)
-            .or(self.default_fork.as_ref())
-            .unwrap_or(self.engine)
     }
 
     pub(crate) fn validate_plan_shape(model: &Model, plan: &Plan) {
@@ -644,8 +628,8 @@ impl<'a> PipelineRuntime<'a> {
     /// re-planning could not produce a plan. Remaining in-flight tasks
     /// are discarded.
     pub fn run(&self, inputs: Vec<Tensor>) -> Result<RunReport, RuntimeError> {
+        let expect = self.model.input_shape();
         for (task, input) in inputs.iter().enumerate() {
-            let expect = self.model.input_shape();
             if input.shape() != expect {
                 return Err(RuntimeError::BadInput {
                     task,
@@ -654,48 +638,33 @@ impl<'a> PipelineRuntime<'a> {
             }
         }
         let start = pico_telemetry::clock::wall_now();
-        match &self.recovery {
-            None => {
-                let a = self.attempt(self.plan, &inputs, 0, start, None, &[])?;
-                debug_assert!(a.lost.is_none());
-                Ok(RunReport {
-                    outputs: a.outputs,
-                    timings: a.timings,
-                    stage_stats: a.stage_stats,
-                    elapsed: start.elapsed(),
-                    failures: a.failures,
-                    degraded_plan: None,
-                })
-            }
-            Some(policy) => self.run_with_recovery(policy, &inputs, start),
-        }
-    }
-
-    /// The supervisor loop: runs attempts until the stream completes,
-    /// re-planning over the surviving cluster whenever a stage loses
-    /// every worker.
-    fn run_with_recovery(
-        &self,
-        policy: &RecoveryPolicy,
-        inputs: &[Tensor],
-        start: Instant,
-    ) -> Result<RunReport, RuntimeError> {
-        let knobs = Some(policy.knobs());
         let mut outputs: Vec<Tensor> = Vec::with_capacity(inputs.len());
         let mut timings = Vec::with_capacity(inputs.len());
         let mut stage_stats: Vec<StageStat> = Vec::new();
         let mut failures = Vec::new();
         let mut excluded: Vec<usize> = Vec::new();
         let mut degraded: Option<Plan> = None;
+        // The supervisor loop: one pass of the stream per plan, re-
+        // planning over the surviving cluster whenever a stage loses
+        // every worker.
         loop {
             let done = outputs.len();
-            let plan_ref = degraded.as_ref().unwrap_or(self.plan);
-            let a = self.attempt(plan_ref, &inputs[done..], done, start, knobs, &stage_stats)?;
-            outputs.extend(a.outputs);
-            timings.extend(a.timings);
-            // Attempt stats are cumulative (seeded from the running
+            let plan = degraded.as_ref().unwrap_or(self.plan);
+            // Inputs are cloned on the way in: the originals stay here,
+            // in case a re-plan has to replay the uncompleted tail.
+            let ((completed, stopped), drained) = self.drive(
+                plan,
+                done,
+                start,
+                self.recovery.as_ref(),
+                &stage_stats,
+                |sess| sess.pump(inputs[done..].iter().cloned()),
+            )?;
+            outputs.extend(completed);
+            timings.extend(drained.timings);
+            // Pass stats are cumulative (seeded from the running
             // totals), so they replace rather than add.
-            for st in a.stage_stats {
+            for st in drained.stage_stats {
                 if let Some(existing) = stage_stats.iter_mut().find(|e| e.stage == st.stage) {
                     *existing = st;
                 } else {
@@ -703,10 +672,16 @@ impl<'a> PipelineRuntime<'a> {
                 }
             }
             stage_stats.sort_by_key(|s| s.stage);
-            failures.extend(a.failures);
-            let Some((stage, task)) = a.lost else { break };
+            failures.extend(drained.failures);
+            let (stage, task, policy) = match (stopped, &self.recovery) {
+                (None, _) => break,
+                (Some(RuntimeError::StageLost { stage, task }), Some(policy)) => {
+                    (stage, task, policy)
+                }
+                (Some(e), _) => return Err(e),
+            };
             let before = excluded.len();
-            for d in a.dead_devices {
+            for d in drained.dead_devices {
                 if !excluded.contains(&d) {
                     excluded.push(d);
                 }
@@ -719,7 +694,7 @@ impl<'a> PipelineRuntime<'a> {
             }
             let next = PlanRequest::new(self.model, &policy.cluster, &policy.params)
                 .with_excluded_devices(&excluded)
-                .and_then(|req| policy.planner.plan(&req))
+                .and_then(|req| PicoPlanner.plan(&req))
                 .map_err(|source| RuntimeError::RecoveryFailed {
                     excluded: excluded.clone(),
                     source,
@@ -745,103 +720,109 @@ impl<'a> PipelineRuntime<'a> {
         })
     }
 
-    /// Runs `inputs` (task indices `base..base + inputs.len()`) through
-    /// `plan` once. With retry knobs, worker failures are absorbed per
-    /// stage and the attempt reports a lost stage instead of erroring.
-    /// `prior_stats` seeds each stage's accounting so busy-time sums
-    /// stay bit-exact with the telemetry across attempts.
-    fn attempt(
+    /// Opens a submittable execution session over this runtime's plan:
+    /// the stage pipeline is spawned once and stays warm while `f`
+    /// pushes any number of [`ExecutionSession::submit`] batches
+    /// through it — the serving-layer alternative to the one-shot
+    /// [`run`](Self::run), which needs the whole stream up front.
+    ///
+    /// When `f` returns, the pipeline drains (every submitted task has
+    /// already been handed back by `submit`, so nothing is in flight)
+    /// and the session's [`RunReport`] carries the per-task timings and
+    /// per-stage accounting. `RunReport::outputs` is empty for session
+    /// reports: outputs were returned batch-by-batch to the caller.
+    ///
+    /// Sessions run without a recovery policy — a failed device
+    /// surfaces as an error from `submit` (departures injected with
+    /// [`RuntimeBuilder::leaves`](crate::RuntimeBuilder::leaves) are
+    /// honoured); degraded re-planning across submissions is the
+    /// serving layer's job, which can drain one session and open the
+    /// next under a new plan.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first [`RuntimeError`] returned by `f`, or a
+    /// [`RuntimeError::ChannelClosed`] if a stage coordinator
+    /// panicked.
+    pub fn session<R>(
+        &self,
+        f: impl FnOnce(&mut ExecutionSession) -> Result<R, RuntimeError>,
+    ) -> Result<(R, RunReport), RuntimeError> {
+        let start = pico_telemetry::clock::wall_now();
+        let (value, drained) = self.drive(self.plan, 0, start, None, &[], f)?;
+        Ok((
+            value?,
+            RunReport {
+                outputs: Vec::new(),
+                timings: drained.timings,
+                stage_stats: drained.stage_stats,
+                elapsed: start.elapsed(),
+                failures: drained.failures,
+                degraded_plan: None,
+            },
+        ))
+    }
+
+    /// The one pipeline lifecycle behind [`run`](Self::run) and
+    /// [`session`](Self::session): spawns `plan`'s stages on a thread
+    /// scope, hands `f` a session whose task numbering starts at
+    /// `base`, then closes both ends of the pipeline and joins every
+    /// coordinator as it drains. With a recovery policy, worker
+    /// failures are absorbed per stage; `prior_stats` seeds each
+    /// stage's accounting so busy-time sums stay bit-exact with the
+    /// telemetry across re-plans.
+    fn drive<R>(
         &self,
         plan: &Plan,
-        inputs: &[Tensor],
         base: usize,
         start: Instant,
-        knobs: Option<RetryKnobs>,
+        recovery: Option<&RecoveryPolicy>,
         prior_stats: &[StageStat],
-    ) -> Result<Attempt, RuntimeError> {
+        f: impl FnOnce(&mut ExecutionSession) -> R,
+    ) -> Result<(R, Drained), RuntimeError> {
         let specs = self.worker_specs(plan);
         let comm = self.stage_comm(plan, &specs);
-        let stage_count = plan.stages.len();
-        // One flag checked per task; the disabled path must not read
-        // clocks, allocate, or lock for telemetry.
-        let enabled = self.recorder.is_enabled();
-        let rec = &self.recorder;
-        let total = inputs.len();
-
         std::thread::scope(|scope| {
             let (feeder, sink, coord_handles) =
-                self.spawn_stages(scope, &specs, &comm, start, knobs, prior_stats);
-
-            // Feed all inputs into stage 0 and drop our sender so the
-            // pipeline drains when done. Inputs are cloned on the way
-            // in: the originals stay with the supervisor, which may
-            // need to replay the uncompleted tail after a re-plan.
-            scope.spawn(move || {
-                for (i, input) in inputs.iter().enumerate() {
-                    if feeder.send(Ok((base + i, input.clone()))).is_err() {
-                        break;
-                    }
-                }
-            });
-
-            // Collect outputs in task order (FIFO stages preserve order).
-            let mut outputs = Vec::with_capacity(total);
-            let mut timings = Vec::with_capacity(total);
-            let mut lost: Option<(usize, usize)> = None;
-            let mut abort: Option<RuntimeError> = None;
-            for _ in 0..total {
-                match sink.recv() {
-                    Ok(Ok((task, out))) => {
-                        debug_assert_eq!(task, base + outputs.len());
-                        let completed_at = start.elapsed().as_secs_f64();
-                        if enabled {
-                            rec.count_at(names::TASKS_COMPLETED, Ctx::default(), completed_at, 1.0);
-                        }
-                        timings.push(TaskTiming { task, completed_at });
-                        outputs.push(out);
-                    }
-                    Ok(Err(RuntimeError::StageLost { stage, task })) if knobs.is_some() => {
-                        lost = Some((stage, task));
-                        break;
-                    }
-                    Ok(Err(e)) => {
-                        abort = Some(e);
-                        break;
-                    }
-                    Err(_) => {
-                        abort = Some(RuntimeError::ChannelClosed { stage: stage_count });
-                        break;
-                    }
-                }
-            }
-            // Dropping the sink starts (or finishes) the channel-close
-            // cascade; coordinators exit as their inputs drain and hand
-            // back the per-stage accounting.
-            drop(sink);
-            let mut stage_stats = Vec::with_capacity(coord_handles.len());
-            let mut failures = Vec::new();
-            let mut dead_devices = Vec::new();
-            for (s, h) in coord_handles.into_iter().enumerate() {
-                match h.join() {
-                    Ok(outcome) => {
-                        stage_stats.push(outcome.stat);
-                        failures.extend(outcome.failures);
-                        dead_devices.extend(outcome.dead_devices);
-                    }
-                    Err(_) => return Err(RuntimeError::ChannelClosed { stage: s }),
-                }
-            }
-            if let Some(e) = abort {
-                return Err(e);
-            }
-            Ok(Attempt {
-                outputs,
+                self.spawn_stages(scope, &specs, &comm, start, recovery, prior_stats);
+            let mut session = ExecutionSession {
+                feeder,
+                sink,
+                expect_shape: self.model.input_shape(),
+                stage_count: specs.len(),
+                next_task: base,
+                timings: Vec::new(),
+                rec: self.recorder.clone(),
+                enabled: self.recorder.is_enabled(),
+                start,
+            };
+            let value = f(&mut session);
+            let ExecutionSession {
+                feeder,
+                sink,
                 timings,
-                stage_stats,
-                failures,
-                dead_devices,
-                lost,
-            })
+                ..
+            } = session;
+            // Closing both endpoints starts the channel-close cascade;
+            // coordinators exit as their inputs drain and hand back the
+            // per-stage accounting.
+            drop(feeder);
+            drop(sink);
+            let mut drained = Drained {
+                timings,
+                stage_stats: Vec::with_capacity(coord_handles.len()),
+                failures: Vec::new(),
+                dead_devices: Vec::new(),
+            };
+            for (s, h) in coord_handles.into_iter().enumerate() {
+                let outcome = h
+                    .join()
+                    .map_err(|_| RuntimeError::ChannelClosed { stage: s })?;
+                drained.stage_stats.push(outcome.stat);
+                drained.failures.extend(outcome.failures);
+                drained.dead_devices.extend(outcome.dead_devices);
+            }
+            Ok((value, drained))
         })
     }
 
@@ -854,10 +835,10 @@ impl<'a> PipelineRuntime<'a> {
     fn spawn_stages<'env, 'scope>(
         &'env self,
         scope: &'scope std::thread::Scope<'scope, 'env>,
-        specs: &[Vec<WorkerSpec>],
+        specs: &'env [Vec<WorkerSpec>],
         comm: &[StageComm],
         start: Instant,
-        knobs: Option<RetryKnobs>,
+        recovery: Option<&'env RecoveryPolicy>,
         prior_stats: &[StageStat],
     ) -> (
         SyncSender<StageMsg>,
@@ -867,6 +848,8 @@ impl<'a> PipelineRuntime<'a> {
         let stage_count = specs.len();
         let rec = &self.recorder;
         let enabled = rec.is_enabled();
+        let engine = self.fork.as_ref().unwrap_or(self.engine);
+        let throttle = self.throttle.as_ref();
         // Inter-stage queues: queue i feeds stage i; the last feeds the
         // collector. Always bounded: the default depth approximates the
         // paper's infinite-queue assumption for well-provisioned
@@ -893,10 +876,14 @@ impl<'a> PipelineRuntime<'a> {
                 work_tx.push(wtx);
                 done_rx.push(drx);
                 let device = spec.device;
-                let stage_specs: Vec<WorkerSpec> = workers.clone();
-                let engine = self.engine_for(device);
-                let throttle = self.throttle.clone();
-                let schedule = self.schedule.clone();
+                // The first task this device's scripted departure
+                // applies to, if it has one.
+                let leaves_at = self
+                    .leaves
+                    .iter()
+                    .filter(|(d, _)| *d == device)
+                    .map(|(_, from)| *from)
+                    .min();
                 let rec = rec.clone();
                 scope.spawn(move || {
                     // One scratch pool per worker thread: the fast
@@ -904,34 +891,31 @@ impl<'a> PipelineRuntime<'a> {
                     // across the whole task stream.
                     let mut scratch = Scratch::new();
                     while let Ok(WorkUnit { task, shard, tile }) = wrx.recv() {
-                        let spec = &stage_specs[shard];
+                        let spec = &workers[shard];
                         let t0 = pico_telemetry::clock::wall_now();
                         let begin_ts = if enabled {
                             start.elapsed().as_secs_f64()
                         } else {
                             0.0
                         };
-                        let result = match schedule.injected(device, task) {
-                            Some(fault) => {
-                                if let Some(stall) = fault.stall {
-                                    std::thread::sleep(stall);
-                                }
-                                Err(RuntimeError::DeviceFailed {
-                                    device,
-                                    task,
-                                    cause: "injected failure".to_owned(),
-                                })
-                            }
-                            None => engine
+                        let result = if leaves_at.is_some_and(|from| task >= from) {
+                            Err(RuntimeError::DeviceFailed {
+                                device,
+                                task,
+                                cause: "injected failure".to_owned(),
+                            })
+                        } else {
+                            engine
                                 .infer_region2_with(&mut scratch, spec.seg, spec.out_region, &tile)
-                                .map_err(RuntimeError::from),
+                                .map_err(RuntimeError::from)
                         };
                         // The input tile's buffer feeds the next
                         // task's intermediates.
                         scratch.give(tile.into_vec());
-                        if let Some(th) = &throttle {
-                            let target = th.compute_duration(device, spec.flops)
-                                + th.transfer_duration(spec.comm_bytes);
+                        // Compute only: the stage's transfers are paid
+                        // once, summed, by its coordinator.
+                        if let Some(th) = throttle {
+                            let target = th.compute_duration(device, spec.flops);
                             let spent = t0.elapsed();
                             if target > spent {
                                 std::thread::sleep(target - spent);
@@ -964,10 +948,13 @@ impl<'a> PipelineRuntime<'a> {
                 in_regions: workers.iter().map(|w| w.in_region).collect(),
                 devices: workers.iter().map(|w| w.device).collect(),
                 comm: comm[s],
+                transfer: throttle.map_or(Duration::ZERO, |th| {
+                    th.transfer_duration(workers.iter().map(|w| w.comm_bytes).sum())
+                }),
                 rec: rec.clone(),
                 enabled,
                 start,
-                knobs,
+                recovery,
                 dead: vec![false; workers.len()],
                 failures: Vec::new(),
             };
@@ -979,88 +966,6 @@ impl<'a> PipelineRuntime<'a> {
         }
 
         (feeder, rx_in, coord_handles)
-    }
-
-    /// Opens a submittable execution session over this runtime's plan:
-    /// the stage pipeline is spawned once and stays warm while `f`
-    /// pushes any number of [`ExecutionSession::submit`] batches
-    /// through it — the serving-layer alternative to the one-shot
-    /// [`run`](Self::run), which needs the whole stream up front.
-    ///
-    /// When `f` returns, the pipeline drains (every submitted task has
-    /// already been handed back by `submit`, so nothing is in flight)
-    /// and the session's [`RunReport`] carries the per-task timings and
-    /// per-stage accounting. `RunReport::outputs` is empty for session
-    /// reports: outputs were returned batch-by-batch to the caller.
-    ///
-    /// Sessions run without a recovery policy — a failed device
-    /// surfaces as an error from `submit` (failure injection via
-    /// [`RuntimeBuilder::failure_schedule`](crate::RuntimeBuilder::failure_schedule)
-    /// is honoured); degraded re-planning across submissions is the
-    /// serving layer's job, which can drain one session and open the
-    /// next under a new plan.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`RuntimeError`] returned by `f`, or a
-    /// [`RuntimeError::ChannelClosed`] if a stage coordinator
-    /// panicked.
-    pub fn session<R>(
-        &self,
-        f: impl FnOnce(&mut ExecutionSession) -> Result<R, RuntimeError>,
-    ) -> Result<(R, RunReport), RuntimeError> {
-        let start = pico_telemetry::clock::wall_now();
-        let specs = self.worker_specs(self.plan);
-        let comm = self.stage_comm(self.plan, &specs);
-        std::thread::scope(|scope| {
-            let (feeder, sink, coord_handles) =
-                self.spawn_stages(scope, &specs, &comm, start, None, &[]);
-            let mut session = ExecutionSession {
-                feeder,
-                sink,
-                expect_shape: self.model.input_shape(),
-                stage_count: self.plan.stages.len(),
-                next_task: 0,
-                timings: Vec::new(),
-                rec: self.recorder.clone(),
-                enabled: self.recorder.is_enabled(),
-                start,
-            };
-            let result = f(&mut session);
-            let ExecutionSession {
-                feeder,
-                sink,
-                timings,
-                ..
-            } = session;
-            // Closing both endpoints starts the channel-close cascade;
-            // coordinators exit as their inputs drain.
-            drop(feeder);
-            drop(sink);
-            let mut stage_stats = Vec::with_capacity(coord_handles.len());
-            let mut failures = Vec::new();
-            for (s, h) in coord_handles.into_iter().enumerate() {
-                match h.join() {
-                    Ok(outcome) => {
-                        stage_stats.push(outcome.stat);
-                        failures.extend(outcome.failures);
-                    }
-                    Err(_) => return Err(RuntimeError::ChannelClosed { stage: s }),
-                }
-            }
-            let value = result?;
-            Ok((
-                value,
-                RunReport {
-                    outputs: Vec::new(),
-                    timings,
-                    stage_stats,
-                    elapsed: start.elapsed(),
-                    failures,
-                    degraded_plan: None,
-                },
-            ))
-        })
     }
 }
 
@@ -1111,25 +1016,45 @@ impl ExecutionSession {
                 });
             }
         }
+        match self.pump(inputs.into_iter()) {
+            (outputs, None) => Ok(outputs),
+            (_, Some(e)) => Err(e),
+        }
+    }
+
+    /// The one feed/collect loop: offers `inputs` (numbered on from
+    /// [`submitted`](Self::submitted)) to stage 0 until its queue
+    /// pushes back, then collects one output in task order, and so on
+    /// until every task is back. Returns the outputs completed in
+    /// order, plus the error that stopped the stream early, if any —
+    /// a [`RuntimeError::StageLost`] then means "lost at task t" with
+    /// every earlier task in the prefix.
+    fn pump(
+        &mut self,
+        inputs: impl ExactSizeIterator<Item = Tensor>,
+    ) -> (Vec<Tensor>, Option<RuntimeError>) {
         let base = self.next_task;
         let total = inputs.len();
         self.next_task += total;
         let mut outputs = Vec::with_capacity(total);
-        let mut feed = inputs
-            .into_iter()
-            .enumerate()
-            .map(|(i, input)| Ok((base + i, input)));
+        let mut feed = Some(inputs.enumerate().map(|(i, input)| Ok((base + i, input))));
         let mut pending: Option<StageMsg> = None;
         while outputs.len() < total {
-            while let Some(msg) = pending.take().or_else(|| feed.next()) {
+            while let Some(msg) = pending
+                .take()
+                .or_else(|| feed.as_mut().and_then(Iterator::next))
+            {
                 match self.feeder.try_send(msg) {
                     Ok(()) => {}
                     Err(TrySendError::Full(msg)) => {
                         pending = Some(msg);
                         break;
                     }
+                    // Stage 0 stopped serving; why it stopped is
+                    // already on its way to the sink.
                     Err(TrySendError::Disconnected(_)) => {
-                        return Err(RuntimeError::ChannelClosed { stage: 0 });
+                        feed = None;
+                        break;
                     }
                 }
             }
@@ -1148,15 +1073,14 @@ impl ExecutionSession {
                     self.timings.push(TaskTiming { task, completed_at });
                     outputs.push(out);
                 }
-                Ok(Err(e)) => return Err(e),
+                Ok(Err(e)) => return (outputs, Some(e)),
                 Err(_) => {
-                    return Err(RuntimeError::ChannelClosed {
-                        stage: self.stage_count,
-                    });
+                    let stage = self.stage_count;
+                    return (outputs, Some(RuntimeError::ChannelClosed { stage }));
                 }
             }
         }
-        Ok(outputs)
+        (outputs, None)
     }
 
     /// Tasks submitted so far (the next task index).
@@ -1174,9 +1098,7 @@ impl ExecutionSession {
 mod tests {
     use super::*;
     use pico_model::zoo;
-    use pico_partition::{
-        Cluster, CostParams, EarlyFused, LayerWise, OptimalFused, PicoPlanner, PlanRequest, Planner,
-    };
+    use pico_partition::{Cluster, CostParams, Device, EarlyFused, LayerWise, OptimalFused};
 
     fn setup() -> (Model, Cluster, CostParams) {
         (
@@ -1261,13 +1183,13 @@ mod tests {
     }
 
     #[test]
-    fn failed_device_surfaces_error() {
+    fn departed_device_surfaces_error() {
         let (m, c, p) = setup();
         let plan = PicoPlanner.plan(&PlanRequest::new(&m, &c, &p)).unwrap();
         let victim = plan.stages[0].assignments[0].device;
         let engine = Engine::with_seed(&m, 1);
         let runtime = PipelineRuntime::builder(&m, &plan, &engine)
-            .failed_device(victim)
+            .leaves(&[(victim, 0)])
             .build();
         let err = runtime
             .run(vec![Tensor::random(m.input_shape(), 1)])
@@ -1304,8 +1226,7 @@ mod tests {
         let plan = two_worker_single_stage(&m);
         let engine = Engine::with_seed(&m, 1);
         let runtime = PipelineRuntime::builder(&m, &plan, &engine)
-            .failed_device(0)
-            .failed_device(1)
+            .leaves(&[(0, 0), (1, 0)])
             .build();
         let err = runtime
             .run(vec![Tensor::random(m.input_shape(), 1)])
@@ -1337,7 +1258,7 @@ mod tests {
         let engine = Engine::with_seed(&m, 5);
         let rec = Recorder::in_memory();
         let runtime = PipelineRuntime::builder(&m, &plan, &engine)
-            .failure_schedule(FailureSchedule::new().fail(1, 1))
+            .leaves(&[(1, 1)])
             .recovery(RecoveryPolicy::new(
                 Cluster::pi_cluster(2, 1.0),
                 CostParams::wifi_50mbps(),
@@ -1391,7 +1312,7 @@ mod tests {
         let engine = Engine::with_seed(&m, 6);
         let rec = Recorder::in_memory();
         let runtime = PipelineRuntime::builder(&m, &plan, &engine)
-            .failure_schedule(FailureSchedule::new().fail(0, 2))
+            .leaves(&[(0, 2)])
             .recovery(RecoveryPolicy::new(
                 Cluster::pi_cluster(2, 1.0),
                 CostParams::wifi_50mbps(),
@@ -1428,7 +1349,7 @@ mod tests {
         let plan = two_worker_single_stage(&m);
         let engine = Engine::with_seed(&m, 2);
         let runtime = PipelineRuntime::builder(&m, &plan, &engine)
-            .failure_schedule(FailureSchedule::new().fail(0, 0).fail(1, 0))
+            .leaves(&[(0, 0), (1, 0)])
             .recovery(RecoveryPolicy::new(
                 Cluster::pi_cluster(2, 1.0),
                 CostParams::wifi_50mbps(),
@@ -1451,8 +1372,9 @@ mod tests {
 
     #[test]
     fn stalled_worker_detected_by_timeout() {
-        // Device 1 goes silent (stalls well past the timeout) instead
-        // of erroring fast: the coordinator classifies it dead via
+        // Device 1 is a throttled straggler, re-clocked so its shard
+        // sleeps ~1.2 s — well past the timeout — while device 0 sleeps
+        // ~0.5 ms: the coordinator classifies device 1 dead via
         // recv_timeout and reroutes, keeping outputs exact. A tiny
         // model keeps healthy compute far below the timeout even in
         // unoptimized builds.
@@ -1464,17 +1386,24 @@ mod tests {
         .unwrap();
         let plan = two_worker_single_stage(&m);
         let engine = Engine::with_seed(&m, 8);
+        let c = Cluster::new(vec![
+            Device::from_frequency(0, 1.0),
+            Device::from_frequency(1, 1.0 / 2400.0),
+        ]);
+        let h = m.output_shape().height;
+        let model_time = c
+            .device(0)
+            .unwrap()
+            .compute_time(m.segment_flops(Segment::new(0, m.len()), Rows::full(h)));
+        // Free network: the throttle sleeps compute only.
+        let throttle = Throttle::new(c, CostParams::new(1e15), 1e-3 / model_time);
         let runtime = PipelineRuntime::builder(&m, &plan, &engine)
-            .failure_schedule(FailureSchedule::new().fail_with_stall(
-                1,
-                0,
-                Duration::from_millis(1200),
-            ))
+            .throttle(throttle)
             .recovery(
                 RecoveryPolicy::new(Cluster::pi_cluster(2, 1.0), CostParams::wifi_50mbps())
-                    // Generous relative to healthy compute (microseconds
-                    // to low milliseconds even under parallel test load)
-                    // but well under the stall.
+                    // Generous relative to healthy compute (low
+                    // milliseconds even under parallel test load) but
+                    // well under the straggler's sleep.
                     .with_task_timeout(Duration::from_millis(400)),
             )
             .build();
@@ -1507,40 +1436,6 @@ mod tests {
         let oracle = engine.fork_backend(EngineBackend::Reference);
         for (i, input) in inputs.iter().enumerate() {
             assert_eq!(report.outputs[i], oracle.infer(input).unwrap());
-        }
-    }
-
-    #[test]
-    fn mixed_device_backends_stitch_consistently() {
-        // One device per stage runs int8, the rest f32. Stages chain
-        // sequentially here, so the int8 stages inject bounded error;
-        // the run must still complete and track the f32 pipeline
-        // within the quantization budget.
-        use pico_tensor::EngineBackend;
-        let (m, c, p) = setup();
-        let plan = PicoPlanner.plan(&PlanRequest::new(&m, &c, &p)).unwrap();
-        let engine = Engine::with_seed(&m, 3);
-        let some_device = plan.stages[0].assignments[0].device;
-        let runtime = PipelineRuntime::builder(&m, &plan, &engine)
-            .device_backend(some_device, EngineBackend::Int8)
-            .build();
-        let inputs: Vec<Tensor> = (0..2).map(|i| Tensor::random(m.input_shape(), i)).collect();
-        let report = runtime.run(inputs.clone()).unwrap();
-        for (i, input) in inputs.iter().enumerate() {
-            let exact = engine.infer(input).unwrap();
-            let got = &report.outputs[i];
-            assert_eq!(got.shape(), exact.shape());
-            let scale = exact.data().iter().fold(0.0f32, |a, &v| a.max(v.abs()));
-            let worst = exact
-                .data()
-                .iter()
-                .zip(got.data())
-                .map(|(e, g)| (e - g).abs())
-                .fold(0.0f32, f32::max);
-            assert!(
-                worst <= 0.05 * scale.max(1.0),
-                "task {i}: worst={worst} scale={scale}"
-            );
         }
     }
 
@@ -1685,13 +1580,45 @@ mod tests {
         let victim = plan.stages[0].assignments[0].device;
         let engine = Engine::with_seed(&m, 1);
         let runtime = PipelineRuntime::builder(&m, &plan, &engine)
-            .failed_device(victim)
+            .leaves(&[(victim, 0)])
             .build();
         let err = runtime
             .session(|sess| sess.submit(&[Tensor::random(m.input_shape(), 1)]))
             .unwrap_err();
         assert!(
             matches!(err, RuntimeError::DeviceFailed { device, .. } if device == victim),
+            "got {err}"
+        );
+    }
+
+    #[test]
+    fn departure_applies_from_its_task_on() {
+        // `(1, 2)`: device 1 serves tasks 0 and 1 and dies on task 2.
+        let m = zoo::mnist_toy();
+        let plan = two_worker_single_stage(&m);
+        let engine = Engine::with_seed(&m, 4);
+        let runtime = PipelineRuntime::builder(&m, &plan, &engine)
+            .leaves(&[(1, 2)])
+            .build();
+        let inputs: Vec<Tensor> = (0..3).map(|i| Tensor::random(m.input_shape(), i)).collect();
+        let err = runtime
+            .session(|sess| {
+                let served = sess.submit(&inputs[..2])?;
+                for (input, out) in inputs.iter().zip(&served) {
+                    assert_eq!(out, &engine.infer(input).unwrap());
+                }
+                sess.submit(&inputs[2..])
+            })
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                RuntimeError::DeviceFailed {
+                    device: 1,
+                    task: 2,
+                    ..
+                }
+            ),
             "got {err}"
         );
     }
@@ -1916,7 +1843,7 @@ mod stage_stat_tests {
         let engine = Engine::with_seed(&m, 11);
         let rec = Recorder::in_memory();
         let runtime = PipelineRuntime::builder(&m, &plan, &engine)
-            .failure_schedule(crate::FailureSchedule::new().fail(0, 2))
+            .leaves(&[(0, 2)])
             .recovery(crate::RecoveryPolicy::new(
                 Cluster::pi_cluster(2, 1.0),
                 CostParams::wifi_50mbps(),

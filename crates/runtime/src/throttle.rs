@@ -2,13 +2,14 @@ use std::time::Duration;
 
 use pico_partition::{Cluster, CostParams};
 
-/// Optional per-device compute throttling.
+/// Optional cost-model throttling.
 ///
 /// The laptop running the tests computes every tile at the same real
-/// speed; a throttle stretches each device's compute step to
-/// `cost_model_seconds * scale` of wall-clock time, so heterogeneous
-/// capacities and pipeline overlap become observable without Raspberry
-/// Pi hardware. `scale` is typically `1e-3`–`1e-2` to keep runs fast.
+/// speed; a throttle stretches each device's compute step and each
+/// stage's transfers to `cost_model_seconds * scale` of wall-clock
+/// time, so heterogeneous capacities and pipeline overlap become
+/// observable without Raspberry Pi hardware. `scale` is typically
+/// `1e-3`–`1e-2` to keep runs fast.
 #[derive(Debug, Clone)]
 pub struct Throttle {
     cluster: Cluster,
@@ -49,7 +50,9 @@ impl Throttle {
     }
 
     /// Minimum wall-clock duration shipping `bytes` over the emulated
-    /// shared link should take.
+    /// link should take. The runtime charges it once per task for a
+    /// stage's summed bytes (Eq. 8), so transfers are shared within a
+    /// stage; concurrent stages do not contend with each other.
     pub fn transfer_duration(&self, bytes: usize) -> Duration {
         Duration::from_secs_f64(bytes as f64 * 8.0 / self.params.bandwidth_bps * self.scale)
     }

@@ -72,21 +72,14 @@ impl<'a> Simulation<'a> {
     /// task it is offered. Each failure emits a `device_failed` instant
     /// stamped in virtual time, so simulated failover traces line up
     /// with the runtime's.
+    ///
+    /// The slice is a churn epoch's
+    /// [`leaves`](pico_partition::ChurnEpoch::leaves), the same one
+    /// the threaded runtime takes through `RuntimeBuilder::leaves`;
+    /// construct the `Simulation` over that epoch's cluster.
     pub fn with_failures(mut self, failures: &[(usize, usize)]) -> Self {
         self.failures.extend_from_slice(failures);
         self
-    }
-
-    /// Mirrors one churn epoch into the simulation: the epoch's
-    /// departures (already rebased to epoch-relative task indices by
-    /// [`ClusterSchedule::epochs`](pico_partition::ClusterSchedule::epochs))
-    /// become scripted failures. Construct the `Simulation` over the
-    /// epoch's own cluster snapshot — rejoins, joins, and recapacities
-    /// are membership changes, so each epoch is a fresh simulation, the
-    /// exact shape `PipelineRuntime` consumes via
-    /// `FailureSchedule::from_leaves`.
-    pub fn with_churn(self, epoch: &pico_partition::ChurnEpoch) -> Self {
-        self.with_failures(&epoch.leaves)
     }
 
     /// Enables straggler jitter: each (task, stage) service time is
@@ -660,7 +653,7 @@ mod tests {
     }
 
     #[test]
-    fn failed_device_lowers_throughput_but_keeps_completions() {
+    fn departed_device_lowers_throughput_but_keeps_completions() {
         let (m, c, p) = setup();
         let plan = PicoPlanner.plan(&PlanRequest::new(&m, &c, &p)).unwrap();
         let victim = victim_in_shared_stage(&plan);

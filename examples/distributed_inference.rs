@@ -22,7 +22,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Execute on real threads and verify against single-device
     // inference (bit-exact split/stitch).
-    let report = pico.execute_verified(&plan, inputs.clone(), 42)?;
+    let engine = pico.engine(42);
+    let report = pico.runtime(&plan, &engine).build().run(inputs.clone())?;
+    for (input, output) in inputs.iter().zip(&report.outputs) {
+        assert_eq!(output, &engine.infer(input)?, "split/stitch diverged");
+    }
     println!(
         "pipeline processed {} frames in {:.1} ms; all outputs verified bit-exact",
         report.outputs.len(),
@@ -39,7 +43,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Throttled run: stretch compute to cost-model proportions (1 ms of
     // simulated time per second of Pi time) so the heterogeneous stage
     // balance is visible in wall-clock completion gaps.
-    let throttled = pico.execute_throttled(&plan, inputs, 42, 1e-3)?;
+    let throttled = pico
+        .runtime(&plan, &engine)
+        .throttle(Throttle::new(pico.cluster().clone(), pico.params(), 1e-3))
+        .build()
+        .run(inputs)?;
     println!(
         "\nthrottled run (1000x faster than the real cluster): {:.1} ms total",
         throttled.elapsed.as_secs_f64() * 1e3
@@ -52,11 +60,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("completion gaps between frames (ms): {gaps:.1?}");
     println!("(steady-state gap ~= pipeline period; smaller than full latency = overlap)");
 
-    // Failure injection: kill one device and watch the error surface.
+    // Failure injection: script one device's departure from the first
+    // task on and watch the error surface (no recovery policy).
     let victim = plan.stages[0].assignments[0].device;
-    let engine = Engine::with_seed(pico.model(), 42);
-    let faulty = PipelineRuntime::builder(pico.model(), &plan, &engine)
-        .failed_device(victim)
+    let departures = ClusterSchedule::new().leave(victim, 0);
+    let epochs = departures.epochs(pico.cluster())?;
+    let faulty = pico
+        .runtime(&plan, &engine)
+        .leaves(&epochs[0].leaves)
         .build();
     match faulty.run(vec![Tensor::random(pico.model().input_shape(), 7)]) {
         Err(e) => println!("\nwith device {victim} failed: error surfaced as expected: {e}"),

@@ -102,9 +102,11 @@ options:
   --throttle-scale <f>       `run`: stretch stages to cost-model
                              proportions (scaled by <f>)
   --fail-device <id>@<task>  `run`: inject a failure — device <id> dies
-                             from task <task> on; repeatable. Failures
-                             are retried on survivors and the pipeline
-                             re-planned when a stage loses every device
+                             from task <task> on; repeatable, audited as
+                             a leave-only churn script (PA501/PA502).
+                             Failures are retried on survivors and the
+                             pipeline re-planned when a stage loses
+                             every device
   --churn <file.script>      `run`: replay a membership churn script
                              (leave/rejoin/join/recapacity events, see
                              DESIGN.md §17). Departures are absorbed
@@ -757,30 +759,42 @@ fn run(args: &[String]) -> Result<(), String> {
             let inputs: Vec<Tensor> = (0..tasks)
                 .map(|i| Tensor::random(pico.model().input_shape(), seed ^ (i as u64)))
                 .collect();
-            let mut schedule = FailureSchedule::new();
-            for spec in opts.get_all("fail-device") {
-                let (device, from_task) = parse_failure(spec)?;
-                schedule = schedule.fail(device, from_task);
+            // `--churn` replays a script; `--fail-device` flags make a
+            // leave-only one. Both pass the same churn audit gate.
+            let churn_path = opts.get("churn");
+            if churn_path.is_some()
+                && (opts.get("throttle-scale").is_some() || opts.get("fail-device").is_some())
+            {
+                return Err(
+                    "--churn cannot be combined with --fail-device or --throttle-scale".to_owned(),
+                );
             }
-            if let Some(path) = opts.get("churn") {
-                if opts.get("throttle-scale").is_some() || !schedule.is_empty() {
-                    return Err(
-                        "--churn cannot be combined with --fail-device or --throttle-scale"
-                            .to_owned(),
-                    );
+            let (schedule, source) = match churn_path {
+                Some(path) => {
+                    let text = std::fs::read_to_string(path)
+                        .map_err(|e| format!("--churn {path}: {e}"))?;
+                    let churn = ClusterSchedule::parse(&text)
+                        .map_err(|e| format!("--churn {path}: {e}"))?;
+                    (churn, format!("--churn {path}"))
                 }
-                let text =
-                    std::fs::read_to_string(path).map_err(|e| format!("--churn {path}: {e}"))?;
-                let churn =
-                    ClusterSchedule::parse(&text).map_err(|e| format!("--churn {path}: {e}"))?;
-                let gate = Auditor::new(pico.model(), pico.cluster()).audit_churn(&churn);
-                if !gate.is_executable() {
-                    return Err(format!(
-                        "--churn {path}: schedule rejected by the churn audit:\n{gate}"
-                    ));
+                None => {
+                    let mut departures = ClusterSchedule::new();
+                    for spec in opts.get_all("fail-device") {
+                        let (device, from_task) = parse_failure(spec)?;
+                        departures = departures.leave(device, from_task);
+                    }
+                    (departures, "--fail-device".to_owned())
                 }
+            };
+            let gate = Auditor::new(pico.model(), pico.cluster()).audit_churn(&schedule);
+            if !gate.is_executable() {
+                return Err(format!(
+                    "{source}: schedule rejected by the churn audit:\n{gate}"
+                ));
+            }
+            if churn_path.is_some() {
                 let report = pico
-                    .execute_churn(inputs, seed, &churn)
+                    .execute_churn(inputs, seed, &schedule)
                     .map_err(|e| e.to_string())?;
                 for (i, ep) in report.epochs.iter().enumerate() {
                     let mut boundary = String::new();
@@ -816,20 +830,24 @@ fn run(args: &[String]) -> Result<(), String> {
                 }
                 return Ok(());
             }
-            let report = match (opts.get("throttle-scale"), schedule.is_empty()) {
-                (Some(_), false) => {
-                    return Err("--fail-device cannot be combined with --throttle-scale".to_owned())
+            let engine = pico.engine(seed);
+            let mut runtime = pico.runtime(&plan, &engine);
+            if let Some(s) = opts.get("throttle-scale") {
+                if !schedule.is_empty() {
+                    return Err("--fail-device cannot be combined with --throttle-scale".to_owned());
                 }
-                (Some(s), true) => {
-                    let scale: f64 = s
-                        .parse()
-                        .map_err(|_| format!("--throttle-scale: bad number `{s}`"))?;
-                    pico.execute_throttled(&plan, inputs, seed, scale)
-                }
-                (None, false) => pico.execute_resilient(&plan, inputs, seed, schedule),
-                (None, true) => pico.execute(&plan, inputs, seed),
+                let scale: f64 = s
+                    .parse()
+                    .map_err(|_| format!("--throttle-scale: bad number `{s}`"))?;
+                runtime =
+                    runtime.throttle(Throttle::new(pico.cluster().clone(), pico.params(), scale));
+            } else if !schedule.is_empty() {
+                let epochs = schedule.epochs(pico.cluster()).map_err(|e| e.to_string())?;
+                runtime = runtime
+                    .leaves(&epochs[0].leaves)
+                    .recovery(RecoveryPolicy::new(pico.cluster().clone(), pico.params()));
             }
-            .map_err(|e| e.to_string())?;
+            let report = runtime.build().run(inputs).map_err(|e| e.to_string())?;
             for f in &report.failures {
                 println!(
                     "device {} failed at stage {} task {}: {}",
@@ -1593,6 +1611,12 @@ mod tests {
         assert!(run(&with(&["--fail-device", "x@1"])).is_err());
         assert!(run(&with(&["--fail-device", "1@y"])).is_err());
         assert!(run(&with(&["--fail-device", "1", "--throttle-scale", "0.001"])).is_err());
+        // The flags form a leave-only churn script and pass its audit:
+        // an unknown device is PA501, a second leave of one device PA502.
+        let err = run(&with(&["--fail-device", "9@0"])).unwrap_err();
+        assert!(err.contains("PA501"), "{err}");
+        let err = run(&with(&["--fail-device", "1@0", "--fail-device", "1@2"])).unwrap_err();
+        assert!(err.contains("PA502"), "{err}");
     }
 
     #[test]

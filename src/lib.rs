@@ -68,8 +68,8 @@ pub mod prelude {
         LayerWise, OptimalFused, PicoPlanner, Plan, PlanRequest, Planner, Scheme, Severity,
     };
     pub use pico_runtime::{
-        FailureRecord, FailureSchedule, InjectedFailure, PipelineRuntime, RecoveryPolicy,
-        RunReport, RuntimeBuilder, RuntimeError, Throttle,
+        FailureRecord, PipelineRuntime, RecoveryPolicy, RunReport, RuntimeBuilder, RuntimeError,
+        Throttle,
     };
     pub use pico_serve::{
         BatchPolicy, Replayer, ServeConfig, ServeError, ServeHandle, ServeRequest, TenantPolicy,

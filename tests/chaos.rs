@@ -24,7 +24,7 @@ fn setup() -> (Model, Cluster, CostParams) {
 /// Three qualitatively different outages, aimed at devices the plan
 /// actually uses: an early-stage death, a late-stage death, and a
 /// two-device cascade.
-fn schedules(plan: &Plan) -> Vec<FailureSchedule> {
+fn schedules(plan: &Plan) -> Vec<ClusterSchedule> {
     let first = plan
         .stages
         .first()
@@ -45,10 +45,17 @@ fn schedules(plan: &Plan) -> Vec<FailureSchedule> {
         .expect("non-empty stage")
         .device;
     vec![
-        FailureSchedule::new().fail(first, 1),
-        FailureSchedule::new().fail(last, 2),
-        FailureSchedule::new().fail(first, 1).fail(last, 3),
+        ClusterSchedule::new().leave(first, 1),
+        ClusterSchedule::new().leave(last, 2),
+        ClusterSchedule::new().leave(first, 1).leave(last, 3),
     ]
+}
+
+/// The departures of a leave-only schedule: its one epoch's
+/// `(device, from_task)` slice, as both executors take it.
+fn leaves(schedule: &ClusterSchedule, cluster: &Cluster) -> Vec<(usize, usize)> {
+    let mut epochs = schedule.epochs(cluster).expect("legal leave-only schedule");
+    epochs.remove(0).leaves
 }
 
 #[test]
@@ -65,9 +72,9 @@ fn chaos_matrix_is_bit_exact_across_seeds_and_schedules() {
         for backend in EngineBackend::BIT_EXACT {
             let engine = Engine::with_seed(&m, seed).with_backend(backend);
             for (si, schedule) in schedules(&plan).into_iter().enumerate() {
-                let scripted: Vec<usize> = schedule.entries().iter().map(|f| f.device).collect();
+                let scripted: Vec<usize> = schedule.events().iter().map(|e| e.device).collect();
                 let report = PipelineRuntime::builder(&m, &plan, &engine)
-                    .failure_schedule(schedule)
+                    .leaves(&leaves(&schedule, &c))
                     .recovery(RecoveryPolicy::new(c.clone(), p))
                     .build()
                     .run(inputs.clone())
@@ -101,6 +108,48 @@ fn chaos_matrix_is_bit_exact_across_seeds_and_schedules() {
 }
 
 #[test]
+fn one_script_means_the_same_departures_in_both_executors() {
+    // The same leaves slice fed to the DES and to the threaded runtime:
+    // every `device_failed` instant the simulator stamps is a failure
+    // the runtime records, on the same device at the same task.
+    let (m, c, p) = setup();
+    let plan = PicoPlanner.plan(&PlanRequest::new(&m, &c, &p)).unwrap();
+    let n = 5;
+    let engine = Engine::with_seed(&m, 7);
+    let inputs: Vec<Tensor> = (0..n as u64)
+        .map(|i| Tensor::random(m.input_shape(), i))
+        .collect();
+    for (si, schedule) in schedules(&plan).iter().enumerate() {
+        let leaves = leaves(schedule, &c);
+        let rec = Recorder::in_memory();
+        Simulation::new(&m, &c, &p)
+            .with_recorder(rec.clone())
+            .with_failures(&leaves)
+            .run(&plan, &Arrivals::closed_loop(n));
+        let mut simulated: Vec<(usize, usize)> = rec
+            .snapshot()
+            .iter()
+            .filter(|e| e.name == names::DEVICE_FAILED)
+            .map(|e| {
+                let id = |x: pico::telemetry::Id| x.get().expect("located") as usize;
+                (id(e.ctx.device), id(e.ctx.task))
+            })
+            .collect();
+        let report = PipelineRuntime::builder(&m, &plan, &engine)
+            .leaves(&leaves)
+            .recovery(RecoveryPolicy::new(c.clone(), p))
+            .build()
+            .run(inputs.clone())
+            .unwrap_or_else(|e| panic!("schedule {si}: {e}"));
+        let mut executed: Vec<(usize, usize)> =
+            report.failures.iter().map(|f| (f.device, f.task)).collect();
+        simulated.sort_unstable();
+        executed.sort_unstable();
+        assert_eq!(executed, simulated, "schedule {si}: {leaves:?}");
+    }
+}
+
+#[test]
 fn int8_chaos_schedule_degrades_within_tolerance() {
     // One cascade outage under the quantized backend. Re-planning moves
     // row ranges between devices, but static activation scales make
@@ -118,7 +167,7 @@ fn int8_chaos_schedule_degrades_within_tolerance() {
         .map(|i| Tensor::random(m.input_shape(), 70 + i))
         .collect();
     let report = PipelineRuntime::builder(&m, &plan, &engine)
-        .failure_schedule(schedule)
+        .leaves(&leaves(&schedule, &c))
         .recovery(RecoveryPolicy::new(c.clone(), p))
         .build()
         .run(inputs.clone())
@@ -162,7 +211,7 @@ fn chaos_runs_are_deterministic() {
     let victim = plan.stages[0].assignments[0].device;
     let run = || {
         PipelineRuntime::builder(&m, &plan, &engine)
-            .failure_schedule(FailureSchedule::new().fail(victim, 1))
+            .leaves(&leaves(&ClusterSchedule::new().leave(victim, 1), &c))
             .recovery(RecoveryPolicy::new(c.clone(), p))
             .build()
             .run(inputs.clone())
@@ -221,7 +270,7 @@ fn degraded_throughput_tracks_the_cost_model_prediction() {
         .unwrap();
     let degraded = PipelineRuntime::builder(&m, &plan, &engine)
         .throttle(Throttle::new(c.clone(), p, scale))
-        .failure_schedule(FailureSchedule::new().fail(0, 0))
+        .leaves(&leaves(&ClusterSchedule::new().leave(0, 0), &c))
         .recovery(RecoveryPolicy::new(c.clone(), p))
         .build()
         .run(inputs.clone())

@@ -57,7 +57,14 @@ fn failover_trace_tells_the_recovery_story_in_order() {
     let rec = Recorder::in_memory();
     let report = PipelineRuntime::builder(&m, &plan, &engine)
         .recorder(rec.clone())
-        .failure_schedule(FailureSchedule::new().fail(0, 1).fail(1, 2))
+        .leaves(
+            &ClusterSchedule::new()
+                .leave(0, 1)
+                .leave(1, 2)
+                .epochs(&c)
+                .unwrap()[0]
+                .leaves,
+        )
         .recovery(RecoveryPolicy::new(c.clone(), p))
         .build()
         .run(inputs)

@@ -250,14 +250,13 @@ fn graph_models_flow_end_to_end() {
     .unwrap();
     let deployment = Pico::new(model, Cluster::pi_cluster(3, 1.0));
     let plan = deployment.plan().unwrap();
-    let report = deployment
-        .execute_verified(
-            &plan,
-            vec![Tensor::random(deployment.model().input_shape(), 1)],
-            55,
-        )
-        .unwrap();
+    let input = Tensor::random(deployment.model().input_shape(), 1);
+    let report = deployment.execute(&plan, vec![input.clone()], 55).unwrap();
     assert_eq!(report.outputs.len(), 1);
+    assert_eq!(
+        report.outputs[0],
+        deployment.engine(55).infer(&input).unwrap()
+    );
     let sim_report = deployment.simulate(&plan, &Arrivals::closed_loop(20));
     assert!(sim_report.throughput > 0.0);
 }
