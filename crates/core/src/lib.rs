@@ -36,7 +36,6 @@ use pico_partition::{
 };
 use pico_runtime::{PipelineRuntime, RunReport, RuntimeBuilder, RuntimeError};
 use pico_serve::{ServeError, ServeHandle, ServeRequest};
-use pico_sim::ReplanPolicy;
 use pico_sim::{AdaptiveScheduler, Arrivals, SchedulerDecision, SimReport, Simulation};
 use pico_telemetry::Recorder;
 use pico_tensor::{Engine, EngineBackend, Tensor};
@@ -278,30 +277,32 @@ impl Pico {
         pico_partition::pareto::frontier(&self.model, &self.cluster, &self.params, steps)
     }
 
-    /// Starts a live multi-tenant serving front-end on this deployment,
-    /// initially running the PICO pipeline plan. Tasks are submitted
-    /// through the returned [`ServeHandle`]; plans can be warm-swapped
-    /// (audit-gated, drain-first) while it runs.
+    /// Starts a live multi-tenant serving front-end on this deployment.
+    /// A request armed with [`ServeRequest::with_adaptive`] is served
+    /// adaptively on the frontier it carries (see
+    /// [`ServeHandle::spawn_adaptive`]); any other runs the PICO
+    /// pipeline plan. Tasks are submitted through the returned
+    /// [`ServeHandle`]; plans can be warm-swapped (audit-gated,
+    /// drain-first) while it runs.
     ///
     /// The deployment's recorder (see [`Pico::with_recorder`]) receives
     /// the serving telemetry; a recorder set on `request` is ignored.
     ///
     /// # Errors
     ///
-    /// [`ServeError::InvalidConfig`] for a malformed request config,
-    /// [`ServeError::Planning`] when the initial plan cannot be built.
+    /// [`ServeError::InvalidConfig`] for a malformed request config or
+    /// re-planning policy, [`ServeError::Planning`] when the initial
+    /// plan cannot be built.
     pub fn serve(&self, request: &ServeRequest) -> Result<ServeHandle, ServeError> {
+        let request = request.clone().with_recorder(self.recorder.clone());
+        let (model, cluster) = (self.model.clone(), self.cluster.clone());
+        if request.adaptive().is_some() {
+            return ServeHandle::spawn_adaptive(model, cluster, self.params, &request);
+        }
         let plan = self.plan().map_err(|e| ServeError::Planning {
             detail: e.to_string(),
         })?;
-        let request = request.clone().with_recorder(self.recorder.clone());
-        ServeHandle::spawn(
-            self.model.clone(),
-            self.cluster.clone(),
-            self.params,
-            plan,
-            &request,
-        )
+        ServeHandle::spawn(model, cluster, self.params, plan, &request)
     }
 
     /// The deployment's Pareto plan frontier, fetched from (or built
@@ -315,34 +316,6 @@ impl Pico {
     /// deep audit for this deployment.
     pub fn fleet_frontier(&self) -> Result<Arc<FleetFrontier>, ServeError> {
         pico_serve::fleet_frontier(&self.model, &self.cluster, &self.params, &self.recorder)
-    }
-
-    /// Starts a live **self-re-planning** serving front-end: serving
-    /// begins on the fleet frontier's cheapest entry, and the
-    /// hysteresis kernel switches plans (audit-gated, drain-first) as
-    /// the admitted-arrival λ estimate drifts.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::InvalidConfig`] for a malformed request config or
-    /// policy, [`ServeError::Planning`] when the frontier cannot be
-    /// built.
-    pub fn serve_adaptive(
-        &self,
-        request: &ServeRequest,
-        policy: ReplanPolicy,
-    ) -> Result<ServeHandle, ServeError> {
-        let frontier = self.fleet_frontier()?;
-        let request = request
-            .clone()
-            .with_recorder(self.recorder.clone())
-            .with_adaptive(frontier, policy);
-        ServeHandle::spawn_adaptive(
-            self.model.clone(),
-            self.cluster.clone(),
-            self.params,
-            &request,
-        )
     }
 
     /// Convenience: the exhaustive-optimal planner for toy models.
@@ -366,6 +339,7 @@ mod tests {
     use super::*;
     use pico_model::zoo;
     use pico_runtime::RecoveryPolicy;
+    use pico_sim::ReplanPolicy;
 
     fn deployment() -> Pico {
         Pico::new(zoo::vgg16().features(), Cluster::pi_cluster(8, 1.0))
@@ -489,22 +463,41 @@ mod tests {
         assert!(!a.entries().is_empty());
     }
 
+    /// The request decides how `serve` serves it: an armed one re-plans
+    /// on the frontier it carries once load leaves the cheapest plan's
+    /// band, an unarmed one stays on its plan under the same load.
     #[test]
-    fn serve_adaptive_serves_without_drops() {
+    fn serve_follows_the_request_armed_or_not() {
         let pico = Pico::new(zoo::mnist_toy(), Cluster::pi_cluster(4, 1.0));
-        let handle = pico
-            .serve_adaptive(&ServeRequest::new(), ReplanPolicy::default())
-            .unwrap();
+        // No hysteresis, and a window boundary between any two distinct
+        // arrivals: a burst is judged while it lands.
+        let policy = ReplanPolicy {
+            margin: 0.0,
+            consecutive: 1,
+            window: 1e-6,
+            ..ReplanPolicy::default()
+        };
+        let armed = ServeRequest::new().with_adaptive(pico.fleet_frontier().unwrap(), policy);
         let input = Tensor::random(pico.model().input_shape(), 21);
-        let tickets: Vec<_> = (0..6)
-            .map(|_| handle.submit(0, input.clone()).unwrap())
-            .collect();
-        for t in tickets {
-            t.wait().unwrap();
+        for (request, adaptive) in [(armed, true), (ServeRequest::new(), false)] {
+            let handle = pico.serve(&request).unwrap();
+            for _ in 0..3 {
+                let burst: Vec<_> = (0..12)
+                    .map(|_| handle.submit(0, input.clone()).unwrap())
+                    .collect();
+                for ticket in burst {
+                    ticket.wait().unwrap();
+                }
+            }
+            let outcome = handle.shutdown().unwrap();
+            assert_eq!(outcome.per_tenant[0].completed, 36);
+            assert_eq!(outcome.per_tenant[0].rejected, 0);
+            assert_eq!(
+                outcome.swaps > 0,
+                adaptive,
+                "adaptive={adaptive}: {outcome:?}"
+            );
         }
-        let outcome = handle.shutdown().unwrap();
-        assert_eq!(outcome.per_tenant[0].completed, 6);
-        assert_eq!(outcome.per_tenant[0].rejected, 0);
     }
 
     #[test]

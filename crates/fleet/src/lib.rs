@@ -18,10 +18,9 @@
 //! * [`FleetFrontier::kernel`] — the bridge to the re-planning
 //!   controller: the `ReplanKernel` is the switch source of the one
 //!   batch-server loop (`pico_sim::BatchServer`) that `pico-serve`'s
-//!   deterministic replayer and `pico-sim`'s
-//!   [`FleetSim`](pico_sim::FleetSim) mirror both run, and the live
-//!   server feeds the same value from its own event loop, so all three
-//!   make bit-identical switch decisions.
+//!   deterministic replayer, its live server and `pico-sim`'s
+//!   [`FleetSim`](pico_sim::FleetSim) mirror all run, so all three
+//!   make their switch decisions by the same code.
 //!
 //! # Example
 //!

@@ -29,6 +29,14 @@ pub enum ServeError {
         /// How many tenants are configured.
         tenants: usize,
     },
+    /// The submitted tensor does not have the model's input shape; the
+    /// task was not admitted.
+    BadInput {
+        /// The submitting tenant.
+        tenant: usize,
+        /// The expected and the offered shape.
+        detail: String,
+    },
     /// A warm swap was refused by the switch-pair audit
     /// (PA305–PA307); serving continues on the current plan.
     SwapRejected {
@@ -73,6 +81,9 @@ impl std::fmt::Display for ServeError {
             }
             ServeError::UnknownTenant { tenant, tenants } => {
                 write!(f, "unknown tenant {tenant} (configured: 0..{tenants})")
+            }
+            ServeError::BadInput { tenant, detail } => {
+                write!(f, "tenant {tenant}: bad input: {detail}")
             }
             ServeError::SwapRejected { errors } => {
                 write!(f, "warm swap rejected by audit: {}", errors.join("; "))

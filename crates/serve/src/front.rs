@@ -1,13 +1,15 @@
+use std::borrow::Cow;
 use std::collections::VecDeque;
+use std::sync::mpsc::SyncSender;
 
 use pico_audit::Auditor;
 use pico_fleet::FleetFrontier;
 use pico_model::Model;
 use pico_partition::{Cluster, CostParams, Plan};
-use pico_runtime::PipelineRuntime;
+use pico_runtime::{ExecutionSession, PipelineRuntime, RuntimeError};
 use pico_sim::{
     BatchServer, ReplanKernel, ReplanPolicy, ServiceProfile, SwitchRecord, SwitchSource,
-    TenantServeStat,
+    TenantServeStat, TraceServer,
 };
 use pico_telemetry::{names, Ctx, Recorder};
 use pico_tensor::{Engine, Tensor};
@@ -111,15 +113,12 @@ impl ReplayOutcome {
 /// decisions and produce bit-identical outputs.
 ///
 /// The decisions are [`pico_sim::BatchServer`]'s, the same loop the
-/// simulation mirrors run; the replayer only supplies the executor
-/// (`ExecutionSession::submit`) and the audit gate at each switch.
+/// simulation mirrors and the live server run; the replayer supplies
+/// the trace as its server ([`pico_sim::TraceServer`]) and
+/// `ExecutionSession::submit_owned` as its executor.
 pub struct Replayer<'a> {
-    model: &'a Model,
-    cluster: &'a Cluster,
-    params: &'a CostParams,
-    engine: &'a Engine<'a>,
+    deployment: Deployment<'a>,
     config: ServeConfig,
-    recorder: Recorder,
 }
 
 impl<'a> Replayer<'a> {
@@ -132,19 +131,21 @@ impl<'a> Replayer<'a> {
         config: ServeConfig,
     ) -> Self {
         Replayer {
-            model,
-            cluster,
-            params,
-            engine,
+            deployment: Deployment {
+                model,
+                cluster,
+                params,
+                engine,
+                rec: Recorder::noop(),
+            },
             config,
-            recorder: Recorder::noop(),
         }
     }
 
     /// Attaches a telemetry recorder; admission/batch/swap events are
     /// recorded at their *virtual* timestamps.
     pub fn with_recorder(mut self, recorder: Recorder) -> Self {
-        self.recorder = recorder;
+        self.deployment.rec = recorder;
         self
     }
 
@@ -160,24 +161,14 @@ impl<'a> Replayer<'a> {
     /// [`ServeError::Runtime`] if the pipeline fails mid-replay.
     pub fn run(&self, plan0: &Plan, events: &[ServeEvent]) -> Result<ReplayOutcome, ServeError> {
         self.config.validated()?;
-        let (trace, mut swaps) = Trace::parse(events, self.config.tenants.len(), Vec::new())?;
-        let cost = self.params.cost_model(self.model);
-        let mut replay = Replay::new(self, &trace);
-        let mut current = plan0;
-        loop {
-            let metrics = cost.evaluate(current, self.cluster);
-            let profile = ServiceProfile {
-                latency: metrics.latency,
-                period: metrics.period,
-            };
-            let Some(next) = replay.epoch(current, profile, &mut swaps)? else {
-                break;
-            };
-            if replay.commit(current, next, None) {
-                current = next;
-            }
-        }
-        Ok(replay.finish())
+        let (trace, scripted) = Trace::parse(events, self.config.tenants.len(), Vec::new())?;
+        let switches = Switches {
+            scripted,
+            kernel: None,
+        };
+        let initial = (self.deployment.profile(plan0), Cow::Borrowed(plan0));
+        let (outcome, _) = self.replay(&trace, switches, None, initial)?;
+        Ok(outcome)
     }
 
     /// Replays `events` (arrivals only, time-sorted) under the fleet's
@@ -211,23 +202,66 @@ impl<'a> Replayer<'a> {
             violations.push("scripted swap: adaptive replay switches plans itself".to_owned());
         }
         let (trace, _) = Trace::parse(events, self.config.tenants.len(), violations)?;
-        let mut kernel = frontier.kernel(frontier.cheapest(), policy);
-        let mut switches: Vec<SwitchRecord> = Vec::new();
-        let mut replay = Replay::new(self, &trace);
-        loop {
-            let entry = &frontier.entries()[kernel.current()];
-            let Some(record) = replay.epoch(&entry.plan, entry.profile(), &mut kernel)? else {
-                break;
-            };
-            let next = &frontier.entries()[record.to].plan;
-            // A refusal is unreachable while the kernel only proposes
-            // matrix-approved targets; the gate stays so a frontier/audit
-            // drift degrades to "no switch" instead of a wrong plan.
-            if replay.commit(&entry.plan, next, Some((&mut kernel, record.lambda))) {
-                switches.push(record);
-            }
-        }
-        Ok((replay.finish(), switches))
+        let first = frontier.cheapest();
+        let switches = Switches {
+            scripted: VecDeque::new(),
+            kernel: Some(frontier.kernel(first, policy)),
+        };
+        let entry = &frontier.entries()[first];
+        let initial = (entry.profile(), Cow::Borrowed(&entry.plan));
+        self.replay(&trace, switches, Some(frontier), initial)
+    }
+
+    /// Serves `trace` through the epoch loop, executing each batch on
+    /// the real pipeline, and collects what a replay reports.
+    fn replay(
+        &self,
+        trace: &Trace<'_>,
+        switches: Switches<'_>,
+        frontier: Option<&FleetFrontier>,
+        initial: (ServiceProfile, Cow<'_, Plan>),
+    ) -> Result<(ReplayOutcome, Vec<SwitchRecord>), ServeError> {
+        let config = &self.config;
+        let mut server = TraceServer::new(
+            config.batch,
+            config.tenants.clone(),
+            &trace.arrivals,
+            switches,
+        );
+        let mut completed = Vec::new();
+        let execute = |sess: &mut ExecutionSession, batch: Vec<(usize, usize)>, finished_at| {
+            let inputs = batch.iter().map(|&(_, seq)| trace.inputs[seq].clone());
+            let outputs = sess.submit_owned(inputs.collect())?;
+            let served = batch.into_iter().zip(outputs);
+            completed.extend(served.map(|((tenant, seq), output)| CompletedTask {
+                seq,
+                tenant,
+                output,
+                finished_at,
+            }));
+            Ok(|| {})
+        };
+        let run = serve(&mut server, &self.deployment, frontier, initial, execute)?;
+        let rejections = server.rejections().iter();
+        let rejections = rejections
+            .map(|&(seq, tenant, reason)| Rejection {
+                seq,
+                tenant,
+                error: ServeError::from_reject(tenant, reason),
+            })
+            .collect();
+        let report = server.into_report(run.swaps);
+        let outcome = ReplayOutcome {
+            completed,
+            rejections,
+            batch_sizes: report.batch_sizes,
+            per_tenant: report.per_tenant,
+            swaps: run.swaps,
+            swap_rejections: run.refusals,
+            epochs: run.epochs,
+            makespan: report.makespan,
+        };
+        Ok((outcome, run.switches))
     }
 }
 
@@ -238,9 +272,6 @@ struct Trace<'e> {
     inputs: Vec<&'e Tensor>,
 }
 
-/// Scripted swap requests, `(request time, target)` in trace order.
-type Swaps<'e> = VecDeque<(f64, &'e Plan)>;
-
 impl<'e> Trace<'e> {
     /// The one trace validator: every event time finite and
     /// non-decreasing, every tenant known. Splits the arrivals from the
@@ -250,7 +281,7 @@ impl<'e> Trace<'e> {
         events: &'e [ServeEvent],
         tenants: usize,
         mut violations: Vec<String>,
-    ) -> Result<(Self, Swaps<'e>), ServeError> {
+    ) -> Result<(Self, VecDeque<(f64, Swap<'e>)>), ServeError> {
         let mut trace = Trace {
             arrivals: Vec::new(),
             inputs: Vec::new(),
@@ -277,7 +308,10 @@ impl<'e> Trace<'e> {
                     trace.arrivals.push((t, *tenant));
                     trace.inputs.push(input);
                 }
-                ServeEvent::Swap { plan, .. } => swaps.push_back((t, plan)),
+                ServeEvent::Swap { plan, .. } => {
+                    let plan = Cow::Borrowed(plan);
+                    swaps.push_back((t, Swap { plan, reply: None }));
+                }
             }
         }
         if violations.is_empty() {
@@ -288,150 +322,188 @@ impl<'e> Trace<'e> {
     }
 }
 
-/// One replay in flight: the shared loop's state plus what only a
-/// replay collects (outputs, audit refusals, epoch counts).
-struct Replay<'r> {
-    replayer: &'r Replayer<'r>,
-    auditor: Auditor<'r>,
-    trace: &'r Trace<'r>,
-    server: BatchServer<'r>,
-    outcome: ReplayOutcome,
-    /// Tasks the current epoch has completed so far.
-    epoch_completed: u64,
+/// A serving run's fixed context: the deployment, the engine its
+/// pipelines run on, and where its events go.
+pub(crate) struct Deployment<'a> {
+    pub(crate) model: &'a Model,
+    pub(crate) cluster: &'a Cluster,
+    pub(crate) params: &'a CostParams,
+    pub(crate) engine: &'a Engine<'a>,
+    pub(crate) rec: Recorder,
 }
 
-impl<'r> Replay<'r> {
-    fn new(replayer: &'r Replayer<'r>, trace: &'r Trace<'r>) -> Self {
-        let config = &replayer.config;
-        Replay {
-            replayer,
-            auditor: Auditor::new(replayer.model, replayer.cluster).with_params(*replayer.params),
-            trace,
-            server: BatchServer::new(config.batch, config.tenants.clone(), &trace.arrivals),
-            outcome: ReplayOutcome::default(),
-            epoch_completed: 0,
+impl Deployment<'_> {
+    /// What the cost model charges a batch under `plan`.
+    pub(crate) fn profile(&self, plan: &Plan) -> ServiceProfile {
+        let metrics = self
+            .params
+            .cost_model(self.model)
+            .evaluate(plan, self.cluster);
+        ServiceProfile {
+            latency: metrics.latency,
+            period: metrics.period,
+        }
+    }
+}
+
+/// A scripted swap: the plan asked for and, live, the caller waiting
+/// on the audit's verdict.
+pub(crate) struct Swap<'p> {
+    pub(crate) plan: Cow<'p, Plan>,
+    pub(crate) reply: Option<SyncSender<Result<(), ServeError>>>,
+}
+
+/// Where a serving run's plan switches come from: scripted swaps — the
+/// replayer's trace, or `ServeHandle::swap` live — and, when the run is
+/// armed, the re-planning kernel.
+pub(crate) struct Switches<'p> {
+    pub(crate) scripted: VecDeque<(f64, Swap<'p>)>,
+    pub(crate) kernel: Option<ReplanKernel>,
+}
+
+/// A switch the loop returned at a batch boundary.
+pub(crate) enum Switch<'p> {
+    Scripted(Swap<'p>),
+    Replan(SwitchRecord),
+}
+
+impl<'p> SwitchSource for Switches<'p> {
+    type Switch = Switch<'p>;
+
+    fn admitted(&mut self, t: f64, rec: &Recorder) {
+        if let Some(kernel) = &mut self.kernel {
+            kernel.admitted(t, rec);
         }
     }
 
-    /// Serves one epoch under `plan` on a fresh pipeline: the shared
-    /// loop decides, `ExecutionSession::submit` executes. Returns the
-    /// switch that ended the epoch, or `None` when the trace is served.
-    fn epoch<S: SwitchSource>(
-        &mut self,
-        plan: &Plan,
-        profile: ServiceProfile,
-        source: &mut S,
-    ) -> Result<Option<S::Switch>, ServeError> {
-        self.outcome.epochs += 1;
-        self.epoch_completed = 0;
-        let rec = &self.replayer.recorder;
-        let runtime = PipelineRuntime::builder(self.replayer.model, plan, self.replayer.engine)
-            .recorder(rec.clone())
+    fn due(&mut self, start: f64) -> Option<Switch<'p>> {
+        if let Some(swap) = self.scripted.due(start) {
+            return Some(Switch::Scripted(swap));
+        }
+        self.kernel.as_mut()?.due(start).map(Switch::Replan)
+    }
+}
+
+/// What a serving run did across its epochs.
+#[derive(Debug, Default)]
+pub(crate) struct Run {
+    pub(crate) epochs: u64,
+    pub(crate) batches: u64,
+    pub(crate) swaps: u64,
+    /// The kernel's committed decisions.
+    pub(crate) switches: Vec<SwitchRecord>,
+    /// Audit-error messages of refused switches.
+    pub(crate) refusals: Vec<String>,
+}
+
+/// The one epoch loop, for the replayer and the live server alike:
+/// serves epoch after epoch on a fresh pipeline — `server` decides,
+/// `execute` runs each batch on the epoch's session — and puts every
+/// switch the loop returns through [`commit_switch`], installing its
+/// target on approval and telling the kernel or the waiting caller.
+/// `frontier` resolves the kernel's decisions when the run is armed.
+pub(crate) fn serve<'p, B, D: FnOnce()>(
+    server: &mut B,
+    deployment: &Deployment<'_>,
+    frontier: Option<&FleetFrontier>,
+    initial: (ServiceProfile, Cow<'_, Plan>),
+    mut execute: impl FnMut(
+        &mut ExecutionSession,
+        Vec<(usize, B::Task)>,
+        f64,
+    ) -> Result<D, RuntimeError>,
+) -> Result<Run, ServeError>
+where
+    B: BatchServer<Switches = Switches<'p>>,
+{
+    let (mut profile, mut plan) = initial;
+    let mut run = Run::default();
+    loop {
+        run.epochs += 1;
+        let mut completed = 0u64;
+        let runtime = PipelineRuntime::builder(deployment.model, &plan, deployment.engine)
+            .recorder(deployment.rec.clone())
             .build();
-        let (server, inputs) = (&mut self.server, &self.trace.inputs);
-        let (completed, epoch_completed) = (&mut self.outcome.completed, &mut self.epoch_completed);
-        let (end, _report) = runtime.session(|sess| {
-            server.run_epoch(source, profile, rec, |tasks, finished_at| {
-                let batch: Vec<Tensor> =
-                    tasks.iter().map(|&(_, seq)| inputs[seq].clone()).collect();
-                let outputs = sess.submit(&batch)?;
-                for (&(tenant, seq), output) in tasks.iter().zip(outputs) {
-                    completed.push(CompletedTask {
-                        seq,
-                        tenant,
-                        output,
-                        finished_at,
-                    });
-                }
-                *epoch_completed += tasks.len() as u64;
-                Ok(())
+        let (switch, _report) = runtime.session(|sess| {
+            server.run_epoch(profile, &deployment.rec, |batch, done_at| {
+                let size = batch.len() as u64;
+                let deliver = execute(sess, batch, done_at)?;
+                run.batches += 1;
+                completed += size;
+                Ok(deliver)
             })
         })?;
-        Ok(end)
-    }
-
-    /// Puts the drained epoch's switch through the audit gate; `true`
-    /// when `next` was installed.
-    fn commit(
-        &mut self,
-        current: &Plan,
-        next: &Plan,
-        replan: Option<(&mut ReplanKernel, f64)>,
-    ) -> bool {
-        let drained = Drained {
-            epoch: self.outcome.epochs - 1,
-            at: self.server.free_at(),
-            completed: self.epoch_completed,
+        let Some((switch, at)) = switch else {
+            return Ok(run);
         };
-        let rec = &self.replayer.recorder;
-        match commit_switch(&self.auditor, rec, current, next, replan, drained) {
+        let (next, replan, reply) = match switch {
+            Switch::Scripted(swap) => (
+                (deployment.profile(&swap.plan), swap.plan),
+                None,
+                swap.reply,
+            ),
+            Switch::Replan(record) => {
+                // Only an armed run stages re-plans, and an armed run
+                // passes the frontier its kernel indexes.
+                let Some(entry) = frontier.and_then(|f| f.entries().get(record.to)) else {
+                    let violations = vec![format!("re-plan to unknown entry {}", record.to)];
+                    return Err(ServeError::InvalidConfig { violations });
+                };
+                (
+                    (entry.profile(), Cow::Borrowed(&entry.plan)),
+                    Some(record),
+                    None,
+                )
+            }
+        };
+        let drained = (run.epochs - 1, at, completed);
+        let verdict = commit_switch(deployment, &plan, &next.1, replan.as_ref(), drained);
+        if replan.is_some() {
+            // Under the live lock; the audit ran outside it.
+            server.with(|_, switches| match (&mut switches.kernel, &verdict) {
+                (Some(kernel), Ok(())) => _ = kernel.committed(),
+                (Some(kernel), Err(_)) => kernel.rejected(),
+                (None, _) => {}
+            });
+        }
+        match &verdict {
             Ok(()) => {
-                self.outcome.swaps += 1;
-                true
+                (profile, plan) = next;
+                run.swaps += 1;
+                run.switches.extend(replan);
             }
-            Err(errors) => {
-                self.outcome.swap_rejections.extend(errors);
-                false
-            }
+            Err(errors) => run.refusals.extend(errors.iter().cloned()),
+        }
+        if let Some(reply) = reply {
+            let _ = reply.send(verdict.map_err(|errors| ServeError::SwapRejected { errors }));
         }
     }
-
-    fn finish(mut self) -> ReplayOutcome {
-        let rejections = self.server.rejections().iter();
-        self.outcome.rejections = rejections
-            .map(|&(seq, tenant, reason)| Rejection {
-                seq,
-                tenant,
-                error: ServeError::from_reject(tenant, reason),
-            })
-            .collect();
-        let report = self.server.into_report(self.outcome.swaps);
-        self.outcome.batch_sizes = report.batch_sizes;
-        self.outcome.per_tenant = report.per_tenant;
-        self.outcome.makespan = report.makespan;
-        self.outcome
-    }
-}
-
-/// The epoch a switch drains: its index, when it drained (virtual time
-/// in a replay, wall time live), and how many tasks it completed.
-pub(crate) struct Drained {
-    pub(crate) epoch: u64,
-    pub(crate) at: f64,
-    pub(crate) completed: u64,
 }
 
 /// The audit gate every plan switch passes at an epoch boundary,
 /// scripted or λ-driven, replayed or live: the pair is audited
-/// (PA305–PA307); on approval the kernel — when the switch was its
-/// decision, `replan` names it and the λ that drove it — is told
-/// `committed` and the drain is recorded; on refusal it is told
-/// `rejected` and the audit's error messages come back.
-pub(crate) fn commit_switch(
-    auditor: &Auditor<'_>,
-    rec: &Recorder,
+/// (PA305–PA307). An approved switch records that `epoch` drained at
+/// `at` after completing `completed` tasks and — for a kernel decision
+/// — the λ that drove it; a refused one returns the audit's messages.
+fn commit_switch(
+    deployment: &Deployment<'_>,
     current: &Plan,
     next: &Plan,
-    replan: Option<(&mut ReplanKernel, f64)>,
-    drained: Drained,
+    replan: Option<&SwitchRecord>,
+    (epoch, at, completed): (u64, f64, u64),
 ) -> Result<(), Vec<String>> {
+    let auditor =
+        Auditor::new(deployment.model, deployment.cluster).with_params(*deployment.params);
     let report = auditor.audit_switch_pair(current, next);
     if !report.is_executable() {
-        if let Some((kernel, _)) = replan {
-            kernel.rejected();
-        }
         return Err(report.errors().map(|d| d.message.clone()).collect());
     }
-    let epoch = usize::try_from(drained.epoch).unwrap_or(usize::MAX);
-    let triggered = replan.map(|(kernel, lambda)| (kernel.committed(), lambda));
-    rec.instant_at(
-        names::SWAP_DRAINED,
-        Ctx::stage(epoch),
-        drained.at,
-        drained.completed as f64,
-    );
-    if let Some((to, lambda)) = triggered {
-        rec.instant_at(names::REPLAN_TRIGGERED, Ctx::stage(to), drained.at, lambda);
+    let rec = &deployment.rec;
+    let epoch = usize::try_from(epoch).unwrap_or(usize::MAX);
+    rec.instant_at(names::SWAP_DRAINED, Ctx::stage(epoch), at, completed as f64);
+    if let Some(record) = replan {
+        let to = Ctx::stage(record.to);
+        rec.instant_at(names::REPLAN_TRIGGERED, to, at, record.lambda);
     }
     Ok(())
 }

@@ -9,30 +9,32 @@
 //! work* — the APICO warm swap, gated by the static switch-pair audit
 //! (PA305–PA307).
 //!
-//! Every serving decision lives in `pico_sim::serve_policy`; this crate
-//! adds the two ways to drive it against the real pipeline:
+//! Every serving decision lives in `pico_sim::serve_policy`, and so
+//! does the one serving loop, [`pico_sim::BatchServer::run_epoch`];
+//! this crate adds the two ways to drive it against the real pipeline.
+//! Both go through one epoch loop: a fresh pipeline per epoch, each
+//! batch executed on it (bit-exact outputs), and every switch the loop
+//! returns put through the audit gate before the next epoch starts.
 //!
 //! * [`Replayer`] — the **deterministic** front-end: a scripted trace
-//!   runs through [`pico_sim::BatchServer`] — the one batch-server loop
-//!   the simulation mirrors also run — in virtual time (priced by the
-//!   plan's analytic cost model), with `ExecutionSession::submit` as
-//!   its executor, so every batch still executes on the real threaded
-//!   pipeline, outputs are bit-exact, and runs are reproducible.
-//! * [`ServeHandle`] — the **live** front-end: a server thread owns the
-//!   runtime; callers submit from any thread and get typed
+//!   is the loop's server ([`pico_sim::TraceServer`], the one the
+//!   simulation mirrors also run), so time is virtual (priced by the
+//!   plan's analytic cost model) and runs are reproducible.
+//! * [`ServeHandle`] — the **live** front-end: the loop runs on a
+//!   server thread on wall time and, when idle, blocks on a bounded
+//!   wake-up channel. Callers submit from any thread and get typed
 //!   backpressure ([`ServeError::QueueFull`] /
-//!   [`ServeError::TenantOverBudget`]) instead of blocking. It obeys
-//!   the loop's feeding rule — free server + anything queued ⇒ a batch
-//!   of up to the adaptive target, composed, accounted and re-planned
-//!   by the same ledger and kernel methods — and differs only in its
-//!   clock: wall time, woken by a bounded control channel.
+//!   [`ServeError::TenantOverBudget`]) instead of blocking: admission
+//!   runs on the caller's thread, against the intake the loop composes
+//!   from, behind one lock. A warm swap ([`ServeHandle::swap`]) takes
+//!   effect at the next batch boundary, as in the replay.
 //!
 //! Both can also run **adaptively**: armed with a cached
 //! [`FleetFrontier`] (see [`fleet_frontier`]), the
-//! [`pico_sim::ReplanKernel`] hysteresis controller watches the
-//! admitted-arrival λ estimate and switches plans through the same
-//! audit-gated commit at an epoch boundary —
-//! [`Replayer::run_adaptive`] in virtual time,
+//! [`pico_sim::ReplanKernel`] hysteresis controller is the loop's
+//! switch source — it watches the admitted-arrival λ estimate and
+//! switches plans through the same audit-gated commit at a batch
+//! boundary: [`Replayer::run_adaptive`] in virtual time,
 //! [`ServeHandle::spawn_adaptive`] live.
 //!
 //! ```
@@ -71,7 +73,6 @@ pub use front::{CompletedTask, Rejection, ReplayOutcome, Replayer, ServeEvent};
 pub use replay::{build_script, fleet_frontier, ReplayPlan, ReplayScript, ScriptSpec};
 pub use request::ServeRequest;
 pub use server::{ServeHandle, ServeOutcome, ServeTicket};
-pub use state::ServeState;
 
 // Re-export the policy types a caller needs to configure the front-end
 // without importing the simulator or fleet crates directly.

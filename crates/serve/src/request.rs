@@ -52,8 +52,9 @@ impl ServeRequest {
     /// Arms live re-planning: the server starts on `frontier`'s
     /// cheapest entry and lets the hysteresis kernel switch plans as
     /// the admitted-arrival λ estimate drifts (each switch still gated
-    /// by the PA305–PA307 audit). Consumed by
-    /// [`crate::ServeHandle::spawn_adaptive`].
+    /// by the PA305–PA307 audit). `Pico::serve` and
+    /// [`crate::ServeHandle::spawn_adaptive`] serve an armed request
+    /// adaptively; [`crate::ServeHandle::spawn`] refuses one.
     pub fn with_adaptive(mut self, frontier: Arc<FleetFrontier>, policy: ReplanPolicy) -> Self {
         self.adaptive = Some((frontier, policy));
         self

@@ -1,41 +1,19 @@
-use std::sync::atomic::Ordering;
+use std::borrow::Cow;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use pico_audit::Auditor;
 use pico_fleet::FleetFrontier;
 use pico_model::Model;
 use pico_partition::{Cluster, CostParams, Plan};
-use pico_runtime::{ExecutionSession, PipelineRuntime, RuntimeError};
-use pico_sim::{ReplanKernel, SwitchRecord, TenantServeStat};
-use pico_telemetry::{names, Ctx};
+use pico_runtime::ExecutionSession;
+use pico_sim::{BatchServer, Intake, ReplanKernel, TenantServeStat};
+use pico_telemetry::Recorder;
 use pico_tensor::{Engine, Tensor};
 
-use crate::front::{commit_switch, Drained};
-use crate::state::{enter, ServeState};
+use crate::front::{serve, Deployment, Switches};
+use crate::state::{QueuedTask, ServeState};
 use crate::{ServeError, ServeRequest};
-
-/// Control messages from handles to the server thread. The channel is
-/// bounded (lint rule 8: no unbounded channels in the serving path), so
-/// a nudge is dropped when the channel is full — and no wake-up is lost
-/// by it: `admit` pushes the task under the ledger lock *before* the
-/// `try_send`, and `Full` means a message the server has not yet
-/// received is still ahead of us; it pumps after receiving that one,
-/// and that pump sees the push.
-enum Ctrl {
-    Nudge,
-    Swap(Plan, SyncSender<Result<(), ServeError>>),
-    Close,
-}
-
-enum EpochExit {
-    Close,
-    Swap(Plan, SyncSender<Result<(), ServeError>>),
-    /// The re-planning kernel wants this switch: the epoch has drained
-    /// and the audited swap happens at the epoch boundary.
-    Replan(SwitchRecord),
-}
 
 /// Final accounting returned by [`ServeHandle::shutdown`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,7 +54,8 @@ impl ServeTicket {
 /// never a blocked caller.
 pub struct ServeHandle {
     state: Arc<ServeState>,
-    ctrl: SyncSender<Ctrl>,
+    /// Wakes an idle server thread; carries no data (see [`Live`]).
+    wake: SyncSender<()>,
     thread: Option<JoinHandle<Result<ServeOutcome, ServeError>>>,
 }
 
@@ -87,7 +66,9 @@ impl ServeHandle {
     /// # Errors
     ///
     /// [`ServeError::InvalidConfig`] when the request's config has
-    /// violations (the PA401 conditions).
+    /// violations (the PA401 conditions), or when the request is armed
+    /// with [`ServeRequest::with_adaptive`] — serve that with
+    /// [`spawn_adaptive`](Self::spawn_adaptive).
     pub fn spawn(
         model: Model,
         cluster: Cluster,
@@ -96,17 +77,21 @@ impl ServeHandle {
         request: &ServeRequest,
     ) -> Result<ServeHandle, ServeError> {
         request.config().validated()?;
+        if request.adaptive().is_some() {
+            let violations = vec!["armed request: serve it with spawn_adaptive".to_owned()];
+            return Err(ServeError::InvalidConfig { violations });
+        }
         Ok(Self::spawn_on(model, cluster, params, plan, None, request))
     }
 
     /// Spawns a *self-re-planning* server over the fleet frontier armed
     /// via [`ServeRequest::with_adaptive`]: serving starts on the
     /// frontier's cheapest entry, every admission feeds the hysteresis
-    /// kernel's λ estimator, and when the kernel decides to switch the
-    /// server drains the pipeline, audits the switch pair
-    /// (PA305–PA307), and resumes under the new plan — no task is
-    /// dropped across the swap. Manual [`swap`](Self::swap) requests
-    /// still work and go through the same gate.
+    /// kernel's λ estimator, and when the kernel decides to switch, the
+    /// server drains the pipeline at the next batch boundary, audits
+    /// the switch pair (PA305–PA307), and resumes under the new plan —
+    /// no task is dropped across the swap. Manual [`swap`](Self::swap)
+    /// requests still work and go through the same gate.
     ///
     /// # Errors
     ///
@@ -149,60 +134,78 @@ impl ServeHandle {
         adaptive: Option<(ReplanKernel, Arc<FleetFrontier>)>,
         request: &ServeRequest,
     ) -> ServeHandle {
-        let state = Arc::new(ServeState::new(request, adaptive));
-        // Depth 2: one pending nudge plus room for a control message.
-        let (ctrl_tx, ctrl_rx) = sync_channel(2);
+        let (kernel, frontier) = adaptive.unzip();
+        let state = Arc::new(ServeState::new(request, model.input_shape(), kernel));
+        // Depth 1: a full channel already holds a wake-up the server has
+        // not yet taken.
+        let (wake, woken) = sync_channel(1);
         let thread_state = Arc::clone(&state);
         let seed = request.engine_seed();
         let thread = std::thread::spawn(move || {
-            run_server(model, cluster, params, plan, seed, thread_state, ctrl_rx)
+            let engine = Engine::with_seed(&model, seed);
+            let deployment = Deployment {
+                model: &model,
+                cluster: &cluster,
+                params: &params,
+                engine: &engine,
+                rec: thread_state.rec.clone(),
+            };
+            serve_live(&deployment, &thread_state, plan, frontier.as_deref(), woken)
         });
         ServeHandle {
             state,
-            ctrl: ctrl_tx,
+            wake,
             thread: Some(thread),
         }
     }
 
     /// Offers one task for `tenant`. Admission is decided immediately:
     /// a typed rejection ([`ServeError::QueueFull`] /
-    /// [`ServeError::TenantOverBudget`]) surfaces backpressure to the
+    /// [`ServeError::TenantOverBudget`], or [`ServeError::BadInput`]
+    /// for a tensor not shaped like the model's input) surfaces to the
     /// caller; on admission the returned ticket resolves to the output
     /// once the task's micro-batch completes.
     pub fn submit(&self, tenant: usize, input: Tensor) -> Result<ServeTicket, ServeError> {
         let rx = self.state.admit(tenant, input)?;
-        match self.ctrl.try_send(Ctrl::Nudge) {
-            Ok(()) | Err(TrySendError::Full(_)) => {}
-            Err(TrySendError::Disconnected(_)) => return Err(ServeError::Closed),
-        }
+        self.nudge()?;
         Ok(ServeTicket { rx })
     }
 
-    /// Requests a warm swap to `plan`: the server drains the current
-    /// pipeline (no admitted task is dropped), audits the switch pair
-    /// (PA305–PA307), and either swaps or keeps serving on the old
-    /// plan. Blocks until the verdict.
+    /// Requests a warm swap to `plan`: at the next batch boundary the
+    /// server drains the current pipeline (no admitted task is
+    /// dropped), audits the switch pair (PA305–PA307), and either swaps
+    /// or keeps serving on the old plan. Blocks until the verdict.
     ///
     /// # Errors
     ///
     /// [`ServeError::SwapRejected`] with the audit errors, or
     /// [`ServeError::Closed`] if the server is gone.
     pub fn swap(&self, plan: Plan) -> Result<(), ServeError> {
-        let (tx, rx) = sync_channel(1);
-        self.ctrl
-            .send(Ctrl::Swap(plan, tx))
-            .map_err(|_| ServeError::Closed)?;
+        let rx = self.state.request_swap(plan)?;
+        self.nudge()?;
         rx.recv().map_err(|_| ServeError::Closed)?
     }
 
     /// Stops intake, drains every queued task through the pipeline,
     /// and returns the final accounting.
     pub fn shutdown(mut self) -> Result<ServeOutcome, ServeError> {
-        self.state.open.store(false, Ordering::Release);
-        let _ = self.ctrl.send(Ctrl::Close);
+        self.state.close();
+        let _ = self.nudge();
         match self.thread.take() {
             Some(handle) => handle.join().map_err(|_| ServeError::Closed)?,
             None => Err(ServeError::Closed),
+        }
+    }
+
+    /// Wakes the server after a change to the shared state. A full
+    /// channel drops the nudge without losing the wake-up: the change
+    /// was made under the lock *before* this `try_send`, and "full"
+    /// means a wake-up the server has not yet taken is still ahead; the
+    /// server looks at the state after taking it.
+    fn nudge(&self) -> Result<(), ServeError> {
+        match self.wake.try_send(()) {
+            Ok(()) | Err(TrySendError::Full(())) => Ok(()),
+            Err(TrySendError::Disconnected(())) => Err(ServeError::Closed),
         }
     }
 }
@@ -210,160 +213,100 @@ impl ServeHandle {
 impl Drop for ServeHandle {
     fn drop(&mut self) {
         if let Some(handle) = self.thread.take() {
-            self.state.open.store(false, Ordering::Release);
-            let _ = self.ctrl.send(Ctrl::Close);
+            self.state.close();
+            let _ = self.nudge();
             let _ = handle.join();
         }
     }
 }
 
-fn run_server(
-    model: Model,
-    cluster: Cluster,
-    params: CostParams,
-    mut plan: Plan,
-    engine_seed: u64,
-    state: Arc<ServeState>,
-    ctrl: Receiver<Ctrl>,
-) -> Result<ServeOutcome, ServeError> {
-    let engine = Engine::with_seed(&model, engine_seed);
-    let auditor = Auditor::new(&model, &cluster).with_params(params);
-    let mut epochs = 0u64;
-    let mut swaps = 0u64;
-    let mut batches = 0u64;
-    loop {
-        epochs += 1;
-        let mut epoch_completed = 0u64;
-        let runtime = PipelineRuntime::builder(&model, &plan, &engine)
-            .recorder(state.rec.clone())
-            .build();
-        let session = runtime.session(|sess| loop {
-            // Every admit nudges and the kernel stages a switch only
-            // inside admit, so there is nothing to poll between messages.
-            let msg = ctrl.recv();
-            pump(sess, &state, &mut batches, &mut epoch_completed)?;
-            match msg {
-                Ok(Ctrl::Swap(next, reply)) => return Ok(EpochExit::Swap(next, reply)),
-                Ok(Ctrl::Close) | Err(_) => return Ok(EpochExit::Close),
-                Ok(Ctrl::Nudge) => {
-                    if let Some(record) = state.replan_due() {
-                        return Ok(EpochExit::Replan(record));
-                    }
-                }
-            }
-        });
-        let exit = match session {
-            Ok((exit, _report)) => exit,
-            Err(e) => {
-                state.open.store(false, Ordering::Release);
-                fail_queued(&state, &e);
-                return Err(e.into());
-            }
-        };
-        let drained = Drained {
-            epoch: epochs - 1,
-            at: state.now(),
-            completed: epoch_completed,
-        };
-        match exit {
-            EpochExit::Close => break,
-            EpochExit::Swap(next, reply) => {
-                let verdict = commit_switch(&auditor, &state.rec, &plan, &next, None, drained);
-                if verdict.is_ok() {
-                    plan = next;
-                    swaps += 1;
-                }
-                let _ = reply.send(verdict.map_err(|errors| ServeError::SwapRejected { errors }));
-            }
-            EpochExit::Replan(record) => {
-                // Only an armed server takes this exit.
-                let Some((kernel, fleet)) = &state.replan else {
-                    continue;
-                };
-                let mut kernel = enter(kernel.lock());
-                let next = &fleet.entries()[record.to].plan;
-                let replan = Some((&mut *kernel, record.lambda));
-                // A refusal is unreachable while the kernel only proposes
-                // matrix-approved targets; it degrades to "no switch".
-                if commit_switch(&auditor, &state.rec, &plan, next, replan, drained).is_ok() {
-                    plan = next.clone();
-                    swaps += 1;
-                }
-            }
-        }
-    }
-    let per_tenant = enter(state.ledger.lock()).stats();
-    Ok(ServeOutcome {
-        per_tenant,
-        batches,
-        swaps,
-        epochs,
-    })
+/// The live [`BatchServer`]: the clock is wall time, the intake
+/// and switches sit behind the state's one lock, and an idle server
+/// blocks on the bounded wake-up channel.
+struct Live<'s> {
+    state: &'s ServeState,
+    woken: Receiver<()>,
 }
 
-/// The feeding rule, the mirror's (`BatchServer::run_epoch`): whenever
-/// the server is free and anything is queued it composes a batch of up
-/// to the adaptive target — never waiting for the target to fill — and
-/// returns once the queues are empty.
-fn pump(
-    sess: &mut ExecutionSession,
+impl BatchServer for Live<'_> {
+    type Task = QueuedTask;
+    type Switches = Switches<'static>;
+
+    fn wait(&mut self, _rec: &Recorder) -> Option<f64> {
+        let desk = self.state.lock();
+        if desk.intake.ledger().total_queued() == 0 {
+            if !desk.open {
+                return None;
+            }
+            drop(desk);
+            // Anything that changes the state after the look above
+            // nudges, so this returns for it (see `ServeHandle::nudge`).
+            self.woken.recv().ok()?;
+        }
+        Some(self.state.now())
+    }
+
+    fn with<R>(
+        &mut self,
+        f: impl FnOnce(&mut Intake<QueuedTask>, &mut Switches<'static>) -> R,
+    ) -> R {
+        let mut desk = self.state.lock();
+        let desk = &mut *desk;
+        f(&mut desk.intake, &mut desk.switches)
+    }
+}
+
+/// The server thread's body: the epoch loop over [`Live`] until
+/// intake is closed and drained. After a pipeline failure every queued
+/// ticket gets the error.
+fn serve_live(
+    deployment: &Deployment<'_>,
     state: &ServeState,
-    batches: &mut u64,
-    completed: &mut u64,
-) -> Result<(), RuntimeError> {
-    loop {
-        let target = enter(state.batcher.lock()).target().max(1);
-        let mut ledger = enter(state.ledger.lock());
-        let order = ledger.compose(target);
+    plan: Plan,
+    frontier: Option<&FleetFrontier>,
+    woken: Receiver<()>,
+) -> Result<ServeOutcome, ServeError> {
+    let initial = (deployment.profile(&plan), Cow::Owned(plan));
+    let execute = |sess: &mut ExecutionSession, batch: Vec<(usize, QueuedTask)>, _| {
         // Inputs move into the pipeline; what stays behind answers the
-        // ticket, on success or failure.
-        let mut inputs: Vec<Tensor> = Vec::with_capacity(order.len());
-        let mut replies = Vec::with_capacity(order.len());
-        for t in order {
-            let Some(task) = enter(state.queues[t].lock()).pop_front() else {
-                // Unreachable while admit holds the ledger lock across
-                // its queue push; recover by undoing the claim.
-                ledger.complete(t, 1);
-                continue;
-            };
-            inputs.push(task.input);
-            replies.push((t, task.reply));
-        }
-        drop(ledger);
-        if replies.is_empty() {
-            return Ok(());
-        }
-        let n = replies.len();
-        state
-            .rec
-            .observe_at(names::BATCH_FORMED, Ctx::default(), state.now(), n as f64);
-        let outputs = match sess.submit_owned(inputs) {
-            Ok(outputs) => outputs,
+        // tickets, on success or failure.
+        let (inputs, replies): (Vec<Tensor>, Vec<_>) = batch
+            .into_iter()
+            .map(|(_, task)| (task.input, task.reply))
+            .unzip();
+        match sess.submit_owned(inputs) {
+            Ok(outputs) => Ok(move || {
+                for (reply, output) in replies.into_iter().zip(outputs) {
+                    let _ = reply.try_send(Ok(output));
+                }
+            }),
             Err(e) => {
-                for (_, reply) in replies {
+                for reply in replies {
                     let _ = reply.try_send(Err(ServeError::Runtime(e.clone())));
                 }
-                return Err(e);
+                Err(e)
             }
-        };
-        let mut ledger = enter(state.ledger.lock());
-        for ((t, reply), out) in replies.into_iter().zip(outputs) {
-            ledger.complete(t, 1);
-            let _ = reply.try_send(Ok(out));
         }
-        drop(ledger);
-        *batches += 1;
-        *completed += n as u64;
-    }
-}
-
-/// Delivers a terminal error to every still-queued task after a
-/// pipeline failure, so no ticket hangs.
-fn fail_queued(state: &ServeState, e: &RuntimeError) {
-    for queue in &state.queues {
-        let mut queue = enter(queue.lock());
-        while let Some(task) = queue.pop_front() {
-            let _ = task.reply.try_send(Err(ServeError::Runtime(e.clone())));
+    };
+    let mut live = Live { state, woken };
+    let run = serve(&mut live, deployment, frontier, initial, execute);
+    match run {
+        Ok(run) => Ok(ServeOutcome {
+            per_tenant: state.lock().intake.ledger().stats(),
+            batches: run.batches,
+            swaps: run.swaps,
+            epochs: run.epochs,
+        }),
+        Err(e) => {
+            // Stop intake, answer every queued ticket, and drop pending
+            // swaps (their callers see `Closed`).
+            let mut desk = state.lock();
+            desk.open = false;
+            for task in desk.intake.abandon() {
+                let _ = task.reply.try_send(Err(e.clone()));
+            }
+            desk.switches.scripted.clear();
+            Err(e)
         }
     }
 }
@@ -372,9 +315,13 @@ fn fail_queued(state: &ServeState, e: &RuntimeError) {
 mod tests {
     use super::*;
     use crate::{fleet_frontier, ReplanPolicy, TenantPolicy};
-    use pico_model::zoo;
+    use pico_model::{zoo, Shape};
     use pico_sim::{ServeSim, ServiceProfile};
-    use pico_telemetry::Recorder;
+    use pico_telemetry::clock::wall_now;
+    use pico_telemetry::names;
+    use std::collections::VecDeque;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Duration;
 
     fn deployment() -> (Model, Cluster, CostParams, Arc<FleetFrontier>) {
         let model = zoo::mnist_toy();
@@ -384,56 +331,82 @@ mod tests {
         (model, cluster, params, frontier)
     }
 
+    /// The frontier's cheapest plan and the plan it may warm-swap to.
+    fn swap_pair(frontier: &FleetFrontier) -> (Plan, Plan) {
+        let from = frontier.cheapest();
+        let to = frontier
+            .swap_target(from)
+            .expect("mnist_toy x pi4 has a switchable pair");
+        let plan = |i: usize| frontier.entries()[i].plan.clone();
+        (plan(from), plan(to))
+    }
+
+    /// Runs the live server's body on the calling thread over `state`,
+    /// which the caller has already filled and closed: no thread and no
+    /// wake-up in the way.
+    fn serve_here(model: &Model, state: &ServeState, plan: Plan, seed: u64) -> ServeOutcome {
+        let (cluster, params) = (Cluster::pi_cluster(4, 1.0), CostParams::wifi_50mbps());
+        let engine = Engine::with_seed(model, seed);
+        let deployment = Deployment {
+            model,
+            cluster: &cluster,
+            params: &params,
+            engine: &engine,
+            rec: state.rec.clone(),
+        };
+        let (_wake, woken) = sync_channel(1);
+        serve_live(&deployment, state, plan, None, woken).unwrap()
+    }
+
+    fn recorded(rec: &Recorder, name: &str) -> Vec<f64> {
+        let events = rec.snapshot();
+        events
+            .iter()
+            .filter(|e| e.name == name)
+            .map(|e| e.value)
+            .collect()
+    }
+
     /// The feeding rule itself, with no thread and no clock in the way:
     /// three admissions too close together to lower the target from its
-    /// maximum, one `pump`, one batch of three — and the mirror takes
-    /// the same batch from the same arrivals.
+    /// maximum, one pass of the loop, one batch of three — and the
+    /// mirror takes the same batch from the same arrivals.
     #[test]
-    fn pump_takes_what_is_queued_without_waiting_for_the_target() {
+    fn the_loop_takes_what_is_queued_without_waiting_for_the_target() {
         let (model, _, _, frontier) = deployment();
-        let plan = &frontier.entries()[frontier.cheapest()].plan;
+        let plan = frontier.entries()[frontier.cheapest()].plan.clone();
         let engine = Engine::with_seed(&model, 3);
         let rec = Recorder::in_memory();
         let request = ServeRequest::new()
             .with_tenants(vec![TenantPolicy::default(); 2])
             .with_recorder(rec.clone());
-        let state = ServeState::new(&request, None);
-        let runtime = PipelineRuntime::builder(&model, plan, &engine).build();
+        let state = ServeState::new(&request, model.input_shape(), None);
 
         let inputs: Vec<Tensor> = (0..3)
             .map(|k| Tensor::random(model.input_shape(), 40 + k))
             .collect();
-        let (mut batches, mut completed) = (0u64, 0u64);
-        let (tickets, _report) = runtime
-            .session(|sess| {
-                let tickets: Vec<_> = inputs
-                    .iter()
-                    .enumerate()
-                    .map(|(k, input)| state.admit(k % 2, input.clone()).unwrap())
-                    .collect();
-                let target = enter(state.batcher.lock()).target();
-                assert_eq!(target, 8, "back-to-back admits leave the target at max");
-                pump(sess, &state, &mut batches, &mut completed)?;
-                Ok(tickets)
-            })
-            .unwrap();
-
-        assert_eq!((batches, completed), (1, 3));
-        let formed: Vec<f64> = rec
-            .snapshot()
+        let tickets: Vec<_> = inputs
             .iter()
-            .filter(|e| e.name == names::BATCH_FORMED)
-            .map(|e| e.value)
+            .enumerate()
+            .map(|(k, input)| state.admit(k % 2, input.clone()).unwrap())
             .collect();
-        assert_eq!(formed, [3.0]);
+        let target = state.lock().intake.batcher().target();
+        assert_eq!(target, 8, "back-to-back admits leave the target at max");
+        state.close();
+        let outcome = serve_here(&model, &state, plan, 3);
+
+        let completed: u64 = outcome.per_tenant.iter().map(|t| t.completed).sum();
+        assert_eq!((outcome.batches, completed), (1, 3));
+        assert_eq!(recorded(&rec, names::BATCH_FORMED), [3.0]);
         for (ticket, input) in tickets.into_iter().zip(&inputs) {
-            let out = ticket.try_recv().expect("pump resolved every ticket");
+            let out = ticket.try_recv().expect("the loop resolved every ticket");
             assert_eq!(out.unwrap().data(), engine.infer(input).unwrap().data());
         }
-        let ledger = enter(state.ledger.lock());
+        let desk = state.lock();
+        let ledger = desk.intake.ledger();
         assert_eq!(ledger.total_queued(), 0);
         assert_eq!(ledger.in_flight(0) + ledger.in_flight(1), 0);
-        drop(ledger);
+        drop(desk);
 
         let profile = ServiceProfile {
             latency: 0.1,
@@ -447,8 +420,43 @@ mod tests {
         assert_eq!(mirror.batch_sizes, [3]);
     }
 
-    /// A switch staged in the kernel is committed on the very next
-    /// admit's nudge — nothing polls for it, and `Close` does not look.
+    /// A swap requested with a backlog queued is taken at the very first
+    /// batch boundary — the epoch it ends served nothing — and the whole
+    /// backlog is served, bit-exactly, under the new plan.
+    #[test]
+    fn a_staged_swap_lands_at_the_first_batch_boundary() {
+        let (model, _, _, frontier) = deployment();
+        let (plan, next) = swap_pair(&frontier);
+        let engine = Engine::with_seed(&model, 6);
+        let rec = Recorder::in_memory();
+        let request = ServeRequest::new().with_recorder(rec.clone());
+        let state = ServeState::new(&request, model.input_shape(), None);
+        let inputs: Vec<Tensor> = (0..16)
+            .map(|k| Tensor::random(model.input_shape(), 60 + k))
+            .collect();
+        let tickets: Vec<_> = inputs
+            .iter()
+            .map(|input| state.admit(0, input.clone()).unwrap())
+            .collect();
+        let verdict = state.request_swap(next).unwrap();
+        state.close();
+        let outcome = serve_here(&model, &state, plan, 6);
+
+        assert_eq!(verdict.try_recv().unwrap(), Ok(()));
+        assert_eq!(recorded(&rec, names::SWAP_DRAINED), [0.0]);
+        assert_eq!((outcome.swaps, outcome.epochs), (1, 2));
+        for (ticket, input) in tickets.into_iter().zip(&inputs) {
+            let out = ticket
+                .try_recv()
+                .expect("the second epoch served the backlog");
+            assert_eq!(out.unwrap().data(), engine.infer(input).unwrap().data());
+        }
+        let stat = outcome.per_tenant[0];
+        assert_eq!((stat.admitted, stat.completed, stat.rejected), (16, 16, 0));
+    }
+
+    /// A switch staged in the kernel is committed at the batch boundary
+    /// the very next admit's nudge opens — nothing polls for it.
     #[test]
     fn armed_server_commits_a_staged_switch_on_the_next_nudge() {
         let (model, cluster, params, frontier) = deployment();
@@ -458,9 +466,8 @@ mod tests {
         let request =
             ServeRequest::new().with_adaptive(Arc::clone(&frontier), ReplanPolicy::default());
         let handle = ServeHandle::spawn_adaptive(model.clone(), cluster, params, &request).unwrap();
-        {
-            let (kernel, _) = handle.state.replan.as_ref().unwrap();
-            enter(kernel.lock()).propose(to, 0.0);
+        if let Some(kernel) = &mut handle.state.lock().switches.kernel {
+            kernel.propose(to, 0.0);
         }
         let input = Tensor::random(model.input_shape(), 8);
         let before = handle.submit(0, input.clone()).unwrap().wait().unwrap();
@@ -472,5 +479,104 @@ mod tests {
         assert_eq!((outcome.swaps, outcome.epochs), (1, 2));
         let stat = outcome.per_tenant[0];
         assert_eq!((stat.admitted, stat.completed, stat.rejected), (2, 2, 0));
+    }
+
+    /// A warm swap under closed-loop load — 16 requests outstanding over
+    /// two tenants, so the queues never run dry — returns while the load
+    /// is still running, not once it stops.
+    #[test]
+    fn a_swap_under_closed_loop_load_does_not_wait_for_the_load_to_stop() {
+        let (model, cluster, params, frontier) = deployment();
+        let (plan, next) = swap_pair(&frontier);
+        let request = ServeRequest::new()
+            .with_tenants(vec![TenantPolicy::default(); 2])
+            .with_engine_seed(2);
+        let handle = ServeHandle::spawn(model.clone(), cluster, params, plan, &request).unwrap();
+        let input = Tensor::random(model.input_shape(), 9);
+        let expect = Engine::with_seed(&model, 2).infer(&input).unwrap();
+        let swapped = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let load = scope.spawn(|| {
+                let deadline = wall_now() + Duration::from_secs(10);
+                let mut pending = VecDeque::new();
+                let mut k = 0usize;
+                let stopped_by_swap = loop {
+                    if swapped.load(Ordering::Acquire) {
+                        break true;
+                    }
+                    if wall_now() >= deadline {
+                        break false;
+                    }
+                    while pending.len() < 16 {
+                        pending.push_back(handle.submit(k % 2, input.clone()).unwrap());
+                        k += 1;
+                    }
+                    let ticket: ServeTicket = pending.pop_front().unwrap();
+                    assert_eq!(ticket.wait().unwrap().data(), expect.data());
+                };
+                for ticket in pending {
+                    assert_eq!(ticket.wait().unwrap().data(), expect.data());
+                }
+                stopped_by_swap
+            });
+            std::thread::sleep(Duration::from_millis(100));
+            handle.swap(next).unwrap();
+            swapped.store(true, Ordering::Release);
+            assert!(
+                load.join().unwrap(),
+                "the swap returned only after the load generator gave up"
+            );
+        });
+        let outcome = handle.shutdown().unwrap();
+        assert_eq!((outcome.swaps, outcome.epochs), (1, 2));
+        for t in &outcome.per_tenant {
+            assert_eq!((t.completed, t.rejected), (t.admitted, 0));
+        }
+    }
+
+    /// A tensor of the wrong shape is refused at `submit`, before the
+    /// ledger sees it, and the batch it would have poisoned is served.
+    #[test]
+    fn a_malformed_input_is_refused_at_submit_and_harms_no_tenant() {
+        let (model, cluster, params, frontier) = deployment();
+        let (plan, _) = swap_pair(&frontier);
+        let request = ServeRequest::new()
+            .with_tenants(vec![TenantPolicy::default(); 2])
+            .with_engine_seed(4);
+        let handle = ServeHandle::spawn(model.clone(), cluster, params, plan, &request).unwrap();
+        let input = Tensor::random(model.input_shape(), 10);
+        let expect = Engine::with_seed(&model, 4).infer(&input).unwrap();
+
+        let first = handle.submit(0, input.clone()).unwrap();
+        match handle.submit(1, Tensor::random(Shape::new(1, 3, 3), 11)) {
+            Err(ServeError::BadInput { tenant: 1, detail }) => assert!(detail.contains("1x3x3")),
+            Err(other) => panic!("expected BadInput, got {other:?}"),
+            Ok(_) => panic!("expected BadInput, got a ticket"),
+        }
+        let second = handle.submit(0, input).unwrap();
+        assert_eq!(first.wait().unwrap().data(), expect.data());
+        assert_eq!(second.wait().unwrap().data(), expect.data());
+        let outcome = handle.shutdown().unwrap();
+        for t in &outcome.per_tenant {
+            assert_eq!((t.completed, t.rejected), (t.admitted, 0));
+        }
+        assert_eq!(outcome.per_tenant[0].admitted, 2);
+        assert_eq!(outcome.per_tenant[1].admitted, 0);
+    }
+
+    /// The request decides how it is served: a fixed-plan spawn refuses
+    /// an armed request rather than ignore its frontier.
+    #[test]
+    fn fixed_plan_spawn_refuses_an_armed_request() {
+        let (model, cluster, params, frontier) = deployment();
+        let (plan, _) = swap_pair(&frontier);
+        let armed = ServeRequest::new().with_adaptive(frontier, ReplanPolicy::default());
+        match ServeHandle::spawn(model, cluster, params, plan, &armed) {
+            Err(ServeError::InvalidConfig { violations }) => {
+                assert!(violations.iter().any(|v| v.contains("spawn_adaptive")));
+            }
+            Err(other) => panic!("expected InvalidConfig, got {other:?}"),
+            Ok(_) => panic!("expected InvalidConfig, got a handle"),
+        }
     }
 }

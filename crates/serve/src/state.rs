@@ -1,14 +1,15 @@
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::borrow::Cow;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, LockResult, Mutex, PoisonError};
+use std::sync::{LockResult, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use pico_fleet::FleetFrontier;
-use pico_sim::{AdaptiveBatcher, AdmissionLedger, ReplanKernel, SwitchRecord, SwitchSource};
-use pico_telemetry::{clock, names, Ctx, Recorder};
+use pico_model::Shape;
+use pico_partition::Plan;
+use pico_sim::{Intake, ReplanKernel};
+use pico_telemetry::{clock, Ctx, Recorder};
 use pico_tensor::Tensor;
 
+use crate::front::{Swap, Switches};
 use crate::{ServeError, ServeRequest};
 
 /// Enters a lock whether or not an earlier holder panicked: one
@@ -25,51 +26,53 @@ pub(crate) struct QueuedTask {
     pub(crate) reply: SyncSender<Result<Tensor, ServeError>>,
 }
 
-/// Intake state shared (via `Arc`) between every [`crate::ServeHandle`]
-/// clone and the server thread: admission happens on the *caller's*
-/// thread against this state, so backpressure is a synchronous typed
-/// error, never a blocked submit.
-pub struct ServeState {
-    pub(crate) ledger: Mutex<AdmissionLedger>,
-    pub(crate) batcher: Mutex<AdaptiveBatcher>,
-    pub(crate) queues: Vec<Mutex<VecDeque<QueuedTask>>>,
-    pub(crate) open: AtomicBool,
+/// What the live server's one lock guards: the intake the loop composes
+/// from, the switch source (manual swaps and, when armed, the kernel),
+/// and whether intake is still open.
+pub(crate) struct Desk {
+    pub(crate) intake: Intake<QueuedTask>,
+    pub(crate) switches: Switches<'static>,
+    pub(crate) open: bool,
+}
+
+/// Intake state shared (via `Arc`) between a [`crate::ServeHandle`] and
+/// its server thread: admission happens on the *caller's* thread
+/// against this state, so backpressure is a synchronous typed error,
+/// never a blocked submit.
+pub(crate) struct ServeState {
+    desk: Mutex<Desk>,
+    tenants: usize,
+    input_shape: Shape,
     pub(crate) rec: Recorder,
-    pub(crate) started: Instant,
-    /// Live re-planning: callers feed the shared hysteresis kernel on
-    /// their own thread (inside [`ServeState::admit`]); the server
-    /// thread commits the decision it stages at its next drain point,
-    /// installing the plan of the frontier entry the kernel indexes.
-    pub(crate) replan: Option<(Mutex<ReplanKernel>, Arc<FleetFrontier>)>,
+    started: Instant,
 }
 
 impl ServeState {
     pub(crate) fn new(
         request: &ServeRequest,
-        adaptive: Option<(ReplanKernel, Arc<FleetFrontier>)>,
+        input_shape: Shape,
+        kernel: Option<ReplanKernel>,
     ) -> Self {
         let config = request.config();
-        let queues = config
-            .tenants
-            .iter()
-            .map(|_| Mutex::new(VecDeque::new()))
-            .collect();
+        let desk = Desk {
+            intake: Intake::new(config.batch, config.tenants.clone()),
+            switches: Switches {
+                scripted: Default::default(),
+                kernel,
+            },
+            open: true,
+        };
         ServeState {
-            ledger: Mutex::new(AdmissionLedger::new(config.tenants.clone())),
-            batcher: Mutex::new(AdaptiveBatcher::new(config.batch)),
-            queues,
-            open: AtomicBool::new(true),
+            desk: Mutex::new(desk),
+            tenants: config.tenants.len(),
+            input_shape,
             rec: request.recorder().clone(),
             started: clock::wall_now(),
-            replan: adaptive.map(|(kernel, fleet)| (Mutex::new(kernel), fleet)),
         }
     }
 
-    /// The switch decision the kernel holds that the server thread has
-    /// not yet committed or rejected, if any.
-    pub(crate) fn replan_due(&self) -> Option<SwitchRecord> {
-        let (kernel, _) = self.replan.as_ref()?;
-        enter(kernel.lock()).due(self.now())
+    pub(crate) fn lock(&self) -> MutexGuard<'_, Desk> {
+        enter(self.desk.lock())
     }
 
     /// Seconds since the front-end started — the telemetry timebase.
@@ -78,44 +81,59 @@ impl ServeState {
     }
 
     /// Admission on the caller's thread: typed rejection or a receiver
-    /// for the eventual output. The ledger lock covers the queue push,
-    /// so ledger counts and queue lengths can never disagree.
+    /// for the eventual output. The intake's one admission path runs
+    /// under the lock, so ledger counts and queue lengths never
+    /// disagree and arrival times reach the batcher in order.
     pub(crate) fn admit(
         &self,
         tenant: usize,
         input: Tensor,
     ) -> Result<Receiver<Result<Tensor, ServeError>>, ServeError> {
-        if !self.open.load(Ordering::Acquire) {
+        let mut desk = self.lock();
+        if !desk.open {
             return Err(ServeError::Closed);
         }
-        if tenant >= self.queues.len() {
-            return Err(ServeError::UnknownTenant {
-                tenant,
-                tenants: self.queues.len(),
-            });
+        if tenant >= self.tenants {
+            let tenants = self.tenants;
+            return Err(ServeError::UnknownTenant { tenant, tenants });
         }
+        if input.shape() != self.input_shape {
+            let detail = format!("expected {}, got {}", self.input_shape, input.shape());
+            return Err(ServeError::BadInput { tenant, detail });
+        }
+        let (reply, rx) = sync_channel(1);
+        let task = QueuedTask { input, reply };
+        let Desk {
+            intake, switches, ..
+        } = &mut *desk;
         let t = self.now();
-        let mut ledger = enter(self.ledger.lock());
-        match ledger.offer(tenant) {
-            Ok(depth) => {
-                let (tx, rx) = sync_channel(1);
-                enter(self.queues[tenant].lock()).push_back(QueuedTask { input, reply: tx });
-                drop(ledger);
-                enter(self.batcher.lock()).observe_arrival(t);
-                if let Some((kernel, _)) = &self.replan {
-                    enter(kernel.lock()).admitted(t, &self.rec);
-                }
-                self.rec
-                    .instant_at(names::TASK_ADMITTED, Ctx::tenant(tenant), t, depth as f64);
-                Ok(rx)
-            }
-            Err(reason) => {
-                let depth = ledger.queued(tenant);
-                drop(ledger);
-                self.rec
-                    .instant_at(names::TASK_REJECTED, Ctx::tenant(tenant), t, depth as f64);
-                Err(ServeError::from_reject(tenant, reason))
-            }
+        intake
+            .admit(tenant, task, t, Ctx::tenant(tenant), switches, &self.rec)
+            .map(|_| rx)
+            .map_err(|reason| ServeError::from_reject(tenant, reason))
+    }
+
+    /// Queues a warm swap to `plan` for the next batch boundary; the
+    /// receiver hears the audit's verdict.
+    pub(crate) fn request_swap(
+        &self,
+        plan: Plan,
+    ) -> Result<Receiver<Result<(), ServeError>>, ServeError> {
+        let mut desk = self.lock();
+        if !desk.open {
+            return Err(ServeError::Closed);
         }
+        let (reply, rx) = sync_channel(1);
+        let swap = Swap {
+            plan: Cow::Owned(plan),
+            reply: Some(reply),
+        };
+        desk.switches.scripted.push_back((self.now(), swap));
+        Ok(rx)
+    }
+
+    /// Stops intake; the server drains what is queued, then exits.
+    pub(crate) fn close(&self) {
+        self.lock().open = false;
     }
 }

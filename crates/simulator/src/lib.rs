@@ -24,9 +24,9 @@
 //!   "dynamic workload" scenarios that motivate APICO;
 //! * [`serve_policy`] — admission control and adaptive micro-batching
 //!   shared with the `pico-serve` front-end, plus [`BatchServer`], the
-//!   one batch-server loop (generic over how a batch executes and where
-//!   switches come from) that [`ServeSim`], [`FleetSim`] and
-//!   `pico-serve`'s replayer all run.
+//!   one batch-server loop (generic over its server's clock, intake and
+//!   switch source, and over how a batch executes) that [`ServeSim`],
+//!   [`FleetSim`], `pico-serve`'s replayer and its live server all run.
 //!
 //! # Example
 //!
@@ -71,6 +71,7 @@ pub use replan::{
     FleetSim, ReplanCandidate, ReplanKernel, ReplanPolicy, ReplanVerdict, SwitchRecord,
 };
 pub use serve_policy::{
-    AdaptiveBatcher, AdmissionLedger, BatchPolicy, BatchServer, RejectReason, ServeSim,
-    ServeSimReport, ServiceProfile, SwitchSource, TenantPolicy, TenantServeStat,
+    AdaptiveBatcher, AdmissionLedger, BatchPolicy, BatchServer, Due, Intake, RejectReason,
+    ServeSim, ServeSimReport, ServiceProfile, SwitchSource, TenantPolicy, TenantServeStat,
+    TraceServer,
 };

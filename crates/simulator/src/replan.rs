@@ -26,7 +26,7 @@ use pico_telemetry::{names, Ctx, Recorder};
 
 use crate::serve_policy::{
     price_only, BatchPolicy, BatchServer, ServeSim, ServeSimReport, ServiceProfile, SwitchSource,
-    TenantPolicy,
+    TenantPolicy, TraceServer,
 };
 use crate::{InterArrivalEstimator, WorkloadBand};
 
@@ -377,8 +377,8 @@ impl ReplanKernel {
 /// arrival feeds the hysteresis rule, and a staged decision is due at
 /// each batch boundary until the caller reports it
 /// [`committed`](ReplanKernel::committed) or
-/// [`rejected`](ReplanKernel::rejected). The live front-end calls the
-/// same two methods from its own event loop.
+/// [`rejected`](ReplanKernel::rejected) — in virtual time and live
+/// alike, for every server runs the same loop.
 impl SwitchSource for ReplanKernel {
     type Switch = SwitchRecord;
 
@@ -429,18 +429,17 @@ impl FleetSim {
     pub fn run(
         &self,
         arrivals: &[(f64, usize)],
-        mut kernel: ReplanKernel,
+        kernel: ReplanKernel,
     ) -> (ServeSimReport, Vec<SwitchRecord>) {
-        let mut server = BatchServer::new(self.0.batch, self.0.tenants.clone(), arrivals);
+        let mut server = TraceServer::new(self.0.batch, self.0.tenants.clone(), arrivals, kernel);
         let mut switches: Vec<SwitchRecord> = Vec::new();
         loop {
-            let active: ServiceProfile = kernel.candidates()[kernel.current()].profile;
-            let Ok(Some(record)) =
-                server.run_epoch(&mut kernel, active, &Recorder::noop(), price_only)
+            let active = server.with(|_, kernel| kernel.candidates()[kernel.current()].profile);
+            let Ok(Some((record, _))) = server.run_epoch(active, &Recorder::noop(), price_only)
             else {
                 break;
             };
-            kernel.committed();
+            server.with(|_, kernel| kernel.committed());
             switches.push(record);
         }
         (server.into_report(switches.len() as u64), switches)

@@ -12,10 +12,15 @@
 //! * [`TenantPolicy`] / [`AdmissionLedger`] — per-tenant bounded queues
 //!   and in-flight budgets with typed [`RejectReason`]s, plus the
 //!   round-robin batch composition every server uses;
-//! * [`BatchServer`] — the batch-server recurrence itself: admit what
-//!   has arrived, honour a due switch at the batch boundary, compose,
-//!   and price the batch at `latency + (B − 1) · period`. Callers supply
-//!   how a batch executes and a [`SwitchSource`];
+//! * [`Intake`] — the ledger, the batcher and the per-tenant FIFOs as
+//!   one value, with the one admission function;
+//! * [`BatchServer`] — the batch-server recurrence itself, the only
+//!   serving loop: honour a due switch at the batch boundary, compose,
+//!   and price the batch at `latency + (B − 1) · period`. Each
+//!   implementor supplies its clock, how arrivals arrive and an idle
+//!   server waits, and a [`SwitchSource`]; [`TraceServer`] is the
+//!   virtual-time one, the live server in `pico-serve` the wall-clock
+//!   one;
 //! * [`ServeSim`] — the loop with price-only execution and at most one
 //!   scripted swap.
 
@@ -112,11 +117,6 @@ impl AdaptiveBatcher {
         }
     }
 
-    /// The policy this batcher was built from.
-    pub fn policy(&self) -> BatchPolicy {
-        self.policy
-    }
-
     /// Records an admitted arrival at absolute time `t` (non-decreasing
     /// across calls) and folds the inter-arrival gap into the EWMA.
     pub fn observe_arrival(&mut self, t: f64) {
@@ -211,8 +211,8 @@ struct TenantAccount {
     stat: TenantServeStat,
 }
 
-/// Bookkeeping for admission control: one account per tenant, shared
-/// verbatim by the live front-end and [`BatchServer`].
+/// Bookkeeping for admission control: one account per tenant, held by
+/// every [`Intake`].
 #[derive(Debug, Clone)]
 pub struct AdmissionLedger {
     policies: Vec<TenantPolicy>,
@@ -242,11 +242,6 @@ impl AdmissionLedger {
             accounts,
             cursor: 0,
         }
-    }
-
-    /// The policy governing `tenant`.
-    pub fn policy(&self, tenant: usize) -> TenantPolicy {
-        self.policies[tenant]
     }
 
     /// Offers one task for `tenant`. On admission returns the queue
@@ -334,21 +329,6 @@ impl AdmissionLedger {
         self.accounts[tenant].in_flight
     }
 
-    /// Total tasks ever admitted for `tenant`.
-    pub fn admitted(&self, tenant: usize) -> u64 {
-        self.accounts[tenant].stat.admitted
-    }
-
-    /// Total tasks ever rejected for `tenant`.
-    pub fn rejected(&self, tenant: usize) -> u64 {
-        self.accounts[tenant].stat.rejected
-    }
-
-    /// Total tasks ever completed for `tenant`.
-    pub fn completed(&self, tenant: usize) -> u64 {
-        self.accounts[tenant].stat.completed
-    }
-
     /// Tasks queued across all tenants.
     pub fn total_queued(&self) -> usize {
         self.accounts.iter().map(|a| a.queued).sum()
@@ -431,8 +411,9 @@ impl ServeSimReport {
     }
 }
 
-/// Where plan switches come from — with how a batch executes, the only
-/// thing that differs between callers of [`BatchServer::run_epoch`].
+/// Where plan switches come from: a queue of scripted requests, or the
+/// re-planning kernel ([`crate::ReplanKernel`]). Every
+/// [`BatchServer`] names one.
 pub trait SwitchSource {
     /// What a due switch hands back: enough to name the target plan.
     type Switch;
@@ -458,26 +439,179 @@ impl<T> SwitchSource for VecDeque<(f64, T)> {
 }
 
 /// The executor of the simulation mirrors: the batch is only priced.
-pub(crate) fn price_only(_: &[(usize, usize)], _: f64) -> Result<(), Infallible> {
-    Ok(())
+pub(crate) fn price_only(_: Vec<(usize, usize)>, _: f64) -> Result<fn(), Infallible> {
+    Ok(|| {})
 }
 
-/// The batch-server recurrence every virtual-time serving driver runs
-/// (paper Sec. IV-C: estimate λ at admission, drain, switch scheme at
-/// the next batch boundary), over the *same* [`AdmissionLedger`] and
-/// [`AdaptiveBatcher`] the live front-end uses. The server takes a
-/// batch whenever it is free and anything is queued, sized
-/// `min(target, queued_total)` and composed round-robin across
-/// tenants. State persists across [`run_epoch`](Self::run_epoch) calls,
-/// so a caller that swaps plans (and pipelines) between epochs resumes
-/// exactly where it drained.
+/// What admission and the serving loop share: the [`AdmissionLedger`],
+/// the [`AdaptiveBatcher`] and one FIFO of tasks per tenant, kept in
+/// step. A virtual-time server owns it; the live server keeps it behind
+/// its one lock, where admission runs on the submitting thread.
 #[derive(Debug)]
-pub struct BatchServer<'a> {
-    arrivals: &'a [(f64, usize)],
+pub struct Intake<T> {
     ledger: AdmissionLedger,
     batcher: AdaptiveBatcher,
+    queues: Vec<VecDeque<T>>,
+}
+
+impl<T> Intake<T> {
+    /// An empty intake with one FIFO per entry of `tenants`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a policy has violations or `tenants` is empty.
+    pub fn new(batch: BatchPolicy, tenants: Vec<TenantPolicy>) -> Self {
+        Intake {
+            queues: tenants.iter().map(|_| VecDeque::new()).collect(),
+            ledger: AdmissionLedger::new(tenants),
+            batcher: AdaptiveBatcher::new(batch),
+        }
+    }
+
+    /// The one admission path: offers `task` for `tenant`, arrived at
+    /// `t`. An admitted task joins its tenant's FIFO and feeds the
+    /// batcher and `switches`; either verdict is recorded at `t` under
+    /// `ctx`. Returns the queue depth after enqueueing, or why not.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tenant` is out of range.
+    pub fn admit(
+        &mut self,
+        tenant: usize,
+        task: T,
+        t: f64,
+        ctx: Ctx,
+        switches: &mut impl SwitchSource,
+        rec: &Recorder,
+    ) -> Result<usize, RejectReason> {
+        match self.ledger.offer(tenant) {
+            Ok(depth) => {
+                self.queues[tenant].push_back(task);
+                self.batcher.observe_arrival(t);
+                switches.admitted(t, rec);
+                rec.instant_at(names::TASK_ADMITTED, ctx, t, depth as f64);
+                Ok(depth)
+            }
+            Err(reason) => {
+                let depth = self.ledger.queued(tenant);
+                rec.instant_at(names::TASK_REJECTED, ctx, t, depth as f64);
+                Err(reason)
+            }
+        }
+    }
+
+    /// The admission accounting.
+    pub fn ledger(&self) -> &AdmissionLedger {
+        &self.ledger
+    }
+
+    /// The batch sizer.
+    pub fn batcher(&self) -> &AdaptiveBatcher {
+        &self.batcher
+    }
+
+    /// Empties every FIFO without serving its tasks — the backlog of a
+    /// server that stopped on a pipeline failure.
+    pub fn abandon(&mut self) -> impl Iterator<Item = T> + '_ {
+        self.queues.iter_mut().flat_map(|q| q.drain(..))
+    }
+}
+
+/// The batch-server recurrence every server runs (paper
+/// Sec. IV-C: estimate λ at admission, drain, switch scheme at the next
+/// batch boundary): [`run_epoch`](Self::run_epoch), written once. An
+/// implementor supplies only what differs: its clock, how arrivals reach
+/// the [`Intake`] and how an idle server waits ([`wait`](Self::wait)),
+/// where the intake and the [`SwitchSource`] live ([`with`](Self::with))
+/// and what it keeps per batch ([`formed`](Self::formed)). State
+/// persists across `run_epoch` calls, so a caller that swaps plans (and
+/// pipelines) between epochs resumes exactly where it drained.
+pub trait BatchServer {
+    /// What a tenant FIFO holds for one admitted task.
+    type Task;
+    /// Where plan switches come from.
+    type Switches: SwitchSource;
+
+    /// Waits until work may be queued, admits what arrived by then, and
+    /// returns that batch boundary's time; `None` once none will come.
+    fn wait(&mut self, rec: &Recorder) -> Option<f64>;
+
+    /// Runs `f` on the intake and the switch source.
+    fn with<R>(&mut self, f: impl FnOnce(&mut Intake<Self::Task>, &mut Self::Switches) -> R) -> R;
+
+    /// A batch formed and is priced to complete at `done_at`.
+    fn formed(&mut self, _batch: &[(usize, Self::Task)], _done_at: f64) {}
+
+    /// Serves under `profile` until nothing more will come (`None`) or
+    /// a switch is due at a batch boundary (`Some`, with the boundary's
+    /// time): the caller installs or refuses it and calls again. Each
+    /// batch takes up to the batcher's target, round-robin across
+    /// tenants, and is priced at `latency + (B − 1) · period`.
+    /// `execute` runs it — `(tenant, task)` slots in composition order,
+    /// and that price — and returns how to hand the results over, which
+    /// runs once the ledger has retired the batch.
+    ///
+    /// # Errors
+    ///
+    /// The first error `execute` returns.
+    fn run_epoch<D: FnOnce(), E>(
+        &mut self,
+        profile: ServiceProfile,
+        rec: &Recorder,
+        mut execute: impl FnMut(Vec<(usize, Self::Task)>, f64) -> Result<D, E>,
+    ) -> Result<Option<Due<Self>>, E> {
+        while let Some(start) = self.wait(rec) {
+            // The one switching checkpoint: every server drains and
+            // swaps here, so they agree on every switch's virtual time.
+            let batch = self.with(|intake, switches| match switches.due(start) {
+                Some(switch) => Err(switch),
+                None => {
+                    let order = intake.ledger.compose(intake.batcher.target());
+                    let tasks = order.into_iter().map(|tenant| {
+                        let task = intake.queues[tenant].pop_front();
+                        (tenant, task.expect("ledger and queues agree"))
+                    });
+                    Ok(tasks.collect::<Vec<_>>())
+                }
+            });
+            let batch = match batch {
+                Err(switch) => return Ok(Some((switch, start))),
+                // Woken with nothing queued (live): wait again.
+                Ok(batch) if batch.is_empty() => continue,
+                Ok(batch) => batch,
+            };
+            let size = batch.len();
+            rec.observe_at(names::BATCH_FORMED, Ctx::default(), start, size as f64);
+            let done_at = start + profile.batch_time(size);
+            self.formed(&batch, done_at);
+            let tenants: Vec<usize> = batch.iter().map(|&(tenant, _)| tenant).collect();
+            let deliver = execute(batch, done_at)?;
+            self.with(|intake, _| {
+                for tenant in tenants {
+                    intake.ledger.complete(tenant, 1);
+                }
+                deliver();
+            });
+        }
+        Ok(None)
+    }
+}
+
+/// A switch [`BatchServer::run_epoch`] found due, and the time of the
+/// batch boundary it was due at.
+pub type Due<B> = (<<B as BatchServer>::Switches as SwitchSource>::Switch, f64);
+
+/// The virtual-time server: a [`BatchServer`] over a sorted arrival
+/// trace. Its clock is when the server next falls idle; an idle server
+/// jumps to the next arrival, and everything landing while a batch is
+/// in service queues up (or is rejected) before the next one forms.
+#[derive(Debug)]
+pub struct TraceServer<'a, S> {
+    arrivals: &'a [(f64, usize)],
     /// Admitted arrival indices per tenant, FIFO.
-    queues: Vec<VecDeque<usize>>,
+    intake: Intake<usize>,
+    switches: S,
     /// Index of the next arrival not yet offered.
     next: usize,
     /// When the server next falls idle; the makespan once drained.
@@ -487,9 +621,9 @@ pub struct BatchServer<'a> {
     sojourn_sum: f64,
 }
 
-impl<'a> BatchServer<'a> {
+impl<'a, S> TraceServer<'a, S> {
     /// Creates an idle server at virtual time 0 over `arrivals` —
-    /// `(time, tenant)` pairs sorted by time.
+    /// `(time, tenant)` pairs sorted by time — switching per `switches`.
     ///
     /// # Panics
     ///
@@ -500,114 +634,23 @@ impl<'a> BatchServer<'a> {
         batch: BatchPolicy,
         tenants: Vec<TenantPolicy>,
         arrivals: &'a [(f64, usize)],
+        switches: S,
     ) -> Self {
         assert!(
             arrivals.iter().all(|a| a.0.is_finite())
                 && arrivals.windows(2).all(|w| w[0].0 <= w[1].0),
             "arrival times must be finite and sorted"
         );
-        BatchServer {
+        TraceServer {
             arrivals,
-            queues: vec![VecDeque::new(); tenants.len()],
-            ledger: AdmissionLedger::new(tenants),
-            batcher: AdaptiveBatcher::new(batch),
+            intake: Intake::new(batch, tenants),
+            switches,
             next: 0,
             free_at: 0.0,
             batch_sizes: Vec::new(),
             rejections: Vec::new(),
             sojourn_sum: 0.0,
         }
-    }
-
-    /// Serves under `profile` until the trace is exhausted and drained
-    /// (`None`) or `source` has a switch due at a batch boundary
-    /// (`Some`): the caller installs or refuses the target and calls
-    /// again. `execute` runs each formed batch, given its `(tenant,
-    /// arrival index)` slots in composition order and its virtual
-    /// completion time — a no-op to only price it, or a real pipeline
-    /// submission. Admission and batch events go to `rec` at their
-    /// virtual timestamps.
-    ///
-    /// # Errors
-    ///
-    /// The first error `execute` returns.
-    pub fn run_epoch<S: SwitchSource, E>(
-        &mut self,
-        source: &mut S,
-        profile: ServiceProfile,
-        rec: &Recorder,
-        mut execute: impl FnMut(&[(usize, usize)], f64) -> Result<(), E>,
-    ) -> Result<Option<S::Switch>, E> {
-        loop {
-            if self.ledger.total_queued() == 0 {
-                // Idle with nothing waiting: jump to the next arrival.
-                let Some(&(t, _)) = self.arrivals.get(self.next) else {
-                    return Ok(None);
-                };
-                if self.free_at < t {
-                    self.free_at = t;
-                }
-                self.admit_next(source, rec);
-                continue;
-            }
-            let start = self.free_at;
-            // Everything landing while the previous batch was in service
-            // queues up (and may be rejected) before the next one forms.
-            while self.arrivals.get(self.next).is_some_and(|a| a.0 <= start) {
-                self.admit_next(source, rec);
-            }
-            // The one switching checkpoint: every driver drains and
-            // swaps here, so they agree on every switch's virtual time.
-            if let Some(switch) = source.due(start) {
-                return Ok(Some(switch));
-            }
-            let mut tasks = Vec::new();
-            for tenant in self.ledger.compose(self.batcher.target()) {
-                let seq = self.queues[tenant].pop_front();
-                tasks.push((tenant, seq.expect("ledger and queues agree")));
-            }
-            let size = tasks.len();
-            rec.observe_at(names::BATCH_FORMED, Ctx::default(), start, size as f64);
-            let done_at = start + profile.batch_time(size);
-            execute(&tasks, done_at)?;
-            // Sojourns are summed tenant-major, as this mirror always
-            // has, so `mean_sojourn` keeps its bits.
-            tasks.sort_by_key(|&(tenant, _)| tenant);
-            for &(tenant, seq) in &tasks {
-                self.ledger.complete(tenant, 1);
-                self.sojourn_sum += done_at - self.arrivals[seq].0;
-            }
-            self.batch_sizes.push(size);
-            self.free_at = done_at;
-        }
-    }
-
-    /// Offers the next arrival to the ledger; an admitted one feeds the
-    /// batcher and the switch source.
-    fn admit_next(&mut self, source: &mut impl SwitchSource, rec: &Recorder) {
-        let seq = self.next;
-        self.next += 1;
-        let (t, tenant) = self.arrivals[seq];
-        let ctx = Ctx::tenant(tenant).for_task(seq);
-        match self.ledger.offer(tenant) {
-            Ok(depth) => {
-                self.queues[tenant].push_back(seq);
-                self.batcher.observe_arrival(t);
-                source.admitted(t, rec);
-                rec.instant_at(names::TASK_ADMITTED, ctx, t, depth as f64);
-            }
-            Err(reason) => {
-                let depth = self.ledger.queued(tenant);
-                rec.instant_at(names::TASK_REJECTED, ctx, t, depth as f64);
-                self.rejections.push((seq, tenant, reason));
-            }
-        }
-    }
-
-    /// When the server next falls idle — at an epoch boundary, the
-    /// virtual time the drained epoch's last batch completed.
-    pub fn free_at(&self) -> f64 {
-        self.free_at
     }
 
     /// Rejected arrivals as `(arrival index, tenant, reason)`, in
@@ -622,7 +665,7 @@ impl<'a> BatchServer<'a> {
         // Nothing completed means nothing summed: 0 / 1.
         let completed: usize = self.batch_sizes.iter().sum();
         ServeSimReport {
-            per_tenant: self.ledger.stats(),
+            per_tenant: self.intake.ledger.stats(),
             mean_sojourn: self.sojourn_sum / completed.max(1) as f64,
             batch_sizes: self.batch_sizes,
             makespan: self.free_at,
@@ -631,9 +674,54 @@ impl<'a> BatchServer<'a> {
     }
 }
 
-/// Deterministic discrete-event mirror of the serving front-end:
-/// [`BatchServer`] with price-only execution and at most one scripted
-/// swap.
+impl<S: SwitchSource> BatchServer for TraceServer<'_, S> {
+    type Task = usize;
+    type Switches = S;
+
+    fn wait(&mut self, rec: &Recorder) -> Option<f64> {
+        if self.intake.ledger.total_queued() == 0 {
+            let &(t, _) = self.arrivals.get(self.next)?;
+            if self.free_at < t {
+                self.free_at = t;
+            }
+        }
+        while let Some(&(t, tenant)) = self.arrivals.get(self.next) {
+            if t > self.free_at {
+                break;
+            }
+            let seq = self.next;
+            self.next += 1;
+            let ctx = Ctx::tenant(tenant).for_task(seq);
+            if let Err(reason) = self
+                .intake
+                .admit(tenant, seq, t, ctx, &mut self.switches, rec)
+            {
+                self.rejections.push((seq, tenant, reason));
+            }
+        }
+        Some(self.free_at)
+    }
+
+    fn with<R>(&mut self, f: impl FnOnce(&mut Intake<usize>, &mut S) -> R) -> R {
+        f(&mut self.intake, &mut self.switches)
+    }
+
+    fn formed(&mut self, batch: &[(usize, usize)], done_at: f64) {
+        // Sojourns are summed tenant-major, as this mirror always has,
+        // so `mean_sojourn` keeps its bits.
+        let mut slots = batch.to_vec();
+        slots.sort_by_key(|&(tenant, _)| tenant);
+        for (_, seq) in slots {
+            self.sojourn_sum += done_at - self.arrivals[seq].0;
+        }
+        self.batch_sizes.push(batch.len());
+        self.free_at = done_at;
+    }
+}
+
+/// Deterministic discrete-event mirror of the serving front-end: the
+/// [`BatchServer`] loop over a [`TraceServer`] with price-only
+/// execution and at most one scripted swap.
 #[derive(Debug, Clone)]
 pub struct ServeSim {
     pub(crate) batch: BatchPolicy,
@@ -647,8 +735,8 @@ impl ServeSim {
     ///
     /// Panics when any policy has violations or `tenants` is empty.
     pub fn new(batch: BatchPolicy, tenants: Vec<TenantPolicy>) -> Self {
-        // Building a server validates both policies.
-        let _ = BatchServer::new(batch, tenants.clone(), &[]);
+        // Building an intake validates both policies.
+        let _ = Intake::<usize>::new(batch, tenants.clone());
         ServeSim { batch, tenants }
     }
 
@@ -667,12 +755,10 @@ impl ServeSim {
         profile: ServiceProfile,
         swap: Option<(f64, ServiceProfile)>,
     ) -> ServeSimReport {
-        let mut server = BatchServer::new(self.batch, self.tenants.clone(), arrivals);
-        let mut swap: VecDeque<_> = swap.into_iter().collect();
+        let swap: VecDeque<_> = swap.into_iter().collect();
+        let mut server = TraceServer::new(self.batch, self.tenants.clone(), arrivals, swap);
         let (mut active, mut swaps) = (profile, 0);
-        while let Ok(Some(next)) =
-            server.run_epoch(&mut swap, active, &Recorder::noop(), price_only)
-        {
+        while let Ok(Some((next, _))) = server.run_epoch(active, &Recorder::noop(), price_only) {
             active = next;
             swaps += 1;
         }
@@ -806,9 +892,8 @@ mod tests {
         assert_eq!(l.offer(0), Err(RejectReason::OverBudget { budget: 3 }));
         l.complete(0, 2);
         assert_eq!(l.offer(0), Ok(2));
-        assert_eq!(l.admitted(0), 4);
-        assert_eq!(l.rejected(0), 2);
-        assert_eq!(l.completed(0), 2);
+        let stat = l.stats()[0];
+        assert_eq!((stat.admitted, stat.rejected, stat.completed), (4, 2, 2));
     }
 
     #[test]
