@@ -167,17 +167,7 @@ impl Block {
     pub fn input_region(&self, out: Region2, input: Shape) -> Result<Region2, ModelError> {
         let mut hull = Region2::new(Rows::empty(), Rows::empty());
         for path in &self.paths {
-            let mut region = out;
-            let mut shapes = Vec::with_capacity(path.len() + 1);
-            shapes.push(input);
-            for layer in path {
-                let prev = *shapes.last().expect("shapes starts non-empty");
-                shapes.push(layer.output_shape(prev)?);
-            }
-            for (l, layer) in path.iter().enumerate().rev() {
-                region = layer.input_region(region, shapes[l]);
-            }
-            hull = hull.hull(region);
+            hull = hull.hull(path_input_region(path, input, out)?);
         }
         Ok(hull)
     }
@@ -202,6 +192,18 @@ impl Block {
         }
         Ok(total)
     }
+}
+
+/// Region of `path`'s input needed for region `out` of its output,
+/// where `input` is the shape entering the path. Like the row walk in
+/// `block.rs`, recursion carries each layer's shape forward and the
+/// region back, so a task's per-unit trace allocates nothing.
+fn path_input_region(path: &[Layer], input: Shape, out: Region2) -> Result<Region2, ModelError> {
+    let Some((first, rest)) = path.split_first() else {
+        return Ok(out);
+    };
+    let region = path_input_region(rest, first.output_shape(input)?, out)?;
+    Ok(first.input_region(region, input))
 }
 
 impl Unit {

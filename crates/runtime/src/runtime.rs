@@ -117,11 +117,34 @@ struct WorkUnit {
     task: usize,
     shard: usize,
     tile: Tensor,
+    /// The buffer of this worker's last shard output, back from the
+    /// stitch for its scratch pool (empty when there is none).
+    spare: Vec<f32>,
 }
 
-/// A worker's answer: which task and shard, plus the computed tile or
-/// the error that killed it.
-type DoneMsg = (usize, usize, Result<Tensor, RuntimeError>);
+/// A worker's answer: which task and shard, the input tile's buffer
+/// (for the coordinator's next scatter), and the computed tile or the
+/// error that killed it.
+struct DoneMsg {
+    task: usize,
+    shard: usize,
+    tile: Vec<f32>,
+    result: Result<Tensor, RuntimeError>,
+}
+
+/// The buffers a worker's last task left with its coordinator, parked
+/// until that worker's next work unit. Holding at most one of each
+/// bounds the ring: a survivor serving two shards of a task keeps one
+/// and drops the other.
+#[derive(Default)]
+struct Slot {
+    /// The last scatter tile's buffer, which the next tile is sliced
+    /// into.
+    tile: Vec<f32>,
+    /// The last shard output's buffer, which rides back on the next
+    /// work unit.
+    spare: Vec<f32>,
+}
 
 /// One worker's precomputed share of a stage.
 #[derive(Debug, Clone)]
@@ -175,6 +198,15 @@ struct StageCoordinator<'p> {
     recovery: Option<&'p RecoveryPolicy>,
     dead: Vec<bool>,
     failures: Vec<FailureRecord>,
+    /// Per-worker parked buffers (see [`Slot`]).
+    slots: Vec<Slot>,
+    /// The task's gathered shard outputs, reused task after task, and
+    /// the worker that computed each.
+    tiles: Vec<Tensor>,
+    owners: Vec<usize>,
+    /// The buffer the next task's map is stitched into, allocated while
+    /// the previous map was still here (see `serve`).
+    next_map: Vec<f32>,
 }
 
 /// What a coordinator hands back through its join handle.
@@ -192,6 +224,7 @@ impl StageCoordinator<'_> {
             return;
         }
         self.dead[w] = true;
+        self.slots[w] = Slot::default();
         let device = self.devices[w];
         if self.enabled {
             self.rec.instant_at(
@@ -207,6 +240,48 @@ impl StageCoordinator<'_> {
             task,
             cause,
         });
+    }
+
+    /// Slices shard `shard`'s input tile out of `fmap` into worker `w`'s
+    /// parked tile buffer and sends it, with the worker's parked output
+    /// buffer, as one work unit. `Ok(false)` when the worker's channel
+    /// is closed.
+    fn send_unit(
+        &mut self,
+        w: usize,
+        task: usize,
+        shard: usize,
+        fmap: &Tensor,
+    ) -> Result<bool, RuntimeError> {
+        let slot = &mut self.slots[w];
+        let tile =
+            fmap.slice_region_into(self.in_regions[shard], std::mem::take(&mut slot.tile))?;
+        let spare = std::mem::take(&mut slot.spare);
+        let unit = WorkUnit {
+            task,
+            shard,
+            tile,
+            spare,
+        };
+        Ok(self.work_tx[w].send(unit).is_ok())
+    }
+
+    /// Parks a returned tile buffer with the live worker that sent it.
+    fn park_tile(&mut self, w: usize, tile: Vec<f32>) {
+        if !self.dead[w] {
+            self.slots[w].tile = tile;
+        }
+    }
+
+    /// Parks every gathered shard output's buffer with the live worker
+    /// that computed it, emptying `tiles` for the next task.
+    fn park_outputs(&mut self) {
+        for (t, &w) in self.tiles.drain(..).zip(&self.owners) {
+            if !self.dead[w] {
+                self.slots[w].spare = t.into_vec();
+            }
+        }
+        self.owners.clear();
     }
 
     /// Emits the per-task scatter span and halo instant (first scatter
@@ -246,35 +321,32 @@ impl StageCoordinator<'_> {
         task: usize,
         fmap: &Tensor,
         begin: f64,
-    ) -> Result<Vec<Tensor>, RuntimeError> {
-        for (w, region) in self.in_regions.iter().enumerate() {
-            let tile = fmap.slice_region(*region)?;
-            if self.work_tx[w]
-                .send(WorkUnit {
-                    task,
-                    shard: w,
-                    tile,
-                })
-                .is_err()
-            {
+    ) -> Result<(), RuntimeError> {
+        for w in 0..self.work_tx.len() {
+            if !self.send_unit(w, task, w, fmap)? {
                 return Err(RuntimeError::ChannelClosed { stage: self.stage });
             }
         }
         self.record_scatter(task, begin);
-        let mut tiles = Vec::with_capacity(self.done_rx.len());
         let mut errors = Vec::new();
-        for drx in &self.done_rx {
-            match drx.recv() {
-                Ok((t, _shard, Ok(tile))) => {
-                    debug_assert_eq!(t, task);
-                    tiles.push(tile);
+        for w in 0..self.done_rx.len() {
+            match self.done_rx[w].recv() {
+                Ok(done) => {
+                    debug_assert_eq!(done.task, task);
+                    self.park_tile(w, done.tile);
+                    match done.result {
+                        Ok(out) => {
+                            self.tiles.push(out);
+                            self.owners.push(w);
+                        }
+                        Err(e) => errors.push(e),
+                    }
                 }
-                Ok((_, _, Err(e))) => errors.push(e),
                 Err(_) => errors.push(RuntimeError::ChannelClosed { stage: self.stage }),
             }
         }
         if errors.is_empty() {
-            Ok(tiles)
+            Ok(())
         } else if errors.len() == 1 {
             Err(errors.remove(0))
         } else {
@@ -294,9 +366,10 @@ impl StageCoordinator<'_> {
         fmap: &Tensor,
         begin: f64,
         task_timeout: Option<Duration>,
-    ) -> Result<Vec<Tensor>, RuntimeError> {
+    ) -> Result<(), RuntimeError> {
         let w_count = self.work_tx.len();
-        let mut results: Vec<Option<Tensor>> = (0..w_count).map(|_| None).collect();
+        // Each finished shard's output and the worker that computed it.
+        let mut results: Vec<Option<(usize, Tensor)>> = (0..w_count).map(|_| None).collect();
         let mut round = 0usize;
         loop {
             let pending: Vec<usize> = (0..w_count).filter(|&i| results[i].is_none()).collect();
@@ -344,11 +417,7 @@ impl StageCoordinator<'_> {
                     if self.dead[w] {
                         break;
                     }
-                    let tile = fmap.slice_region(self.in_regions[shard])?;
-                    if self.work_tx[w]
-                        .send(WorkUnit { task, shard, tile })
-                        .is_err()
-                    {
+                    if !self.send_unit(w, task, shard, fmap)? {
                         self.mark_dead(w, task, "worker channel closed".to_owned());
                     } else {
                         sent[w] += 1;
@@ -384,18 +453,23 @@ impl StageCoordinator<'_> {
                             }
                         },
                     };
-                    let Some((t, shard, result)) = msg else { break };
-                    debug_assert_eq!(t, task);
+                    let Some(done) = msg else { break };
+                    debug_assert_eq!(done.task, task);
                     expect -= 1;
-                    match result {
-                        Ok(tile) => results[shard] = Some(tile),
+                    self.park_tile(w, done.tile);
+                    match done.result {
+                        Ok(out) => results[done.shard] = Some((w, out)),
                         Err(e) => self.mark_dead(w, task, e.to_string()),
                     }
                 }
             }
             round += 1;
         }
-        Ok(results.into_iter().flatten().collect())
+        for (w, out) in results.into_iter().flatten() {
+            self.tiles.push(out);
+            self.owners.push(w);
+        }
+        Ok(())
     }
 
     /// The serving loop: processes tasks from `rx_in` until the channel
@@ -430,49 +504,58 @@ impl StageCoordinator<'_> {
                 Some(policy) => self.process_task_retry(task, &fmap, begin, policy.task_timeout),
                 None => self.process_task_legacy(task, &fmap, begin),
             };
-            match gathered {
-                Ok(tiles) => {
-                    // Eq. 8: the stage's members share one link, so
-                    // their transfers add up, once per task.
-                    if !self.transfer.is_zero() {
-                        std::thread::sleep(self.transfer);
+            drop(fmap);
+            let stitched = gathered.and_then(|()| {
+                // Eq. 8: the stage's members share one link, so their
+                // transfers add up, once per task.
+                if !self.transfer.is_zero() {
+                    std::thread::sleep(self.transfer);
+                }
+                let stitch_from = if self.enabled {
+                    self.start.elapsed().as_secs_f64()
+                } else {
+                    0.0
+                };
+                // Stitch (strips and grids) into the buffer allocated a
+                // task ago, and allocate the next before this map leaves:
+                // a map the consumer frees is then never the newest block
+                // of this thread's heap, so a batch of them freed at once
+                // leaves a hole the next batch reuses, not a free heap top
+                // that glibc hands back to the kernel and the next batch
+                // faults in again page by page.
+                let out =
+                    Tensor::stitch_tiles_into(&self.tiles, std::mem::take(&mut self.next_map))?;
+                self.next_map = Vec::with_capacity(out.data().len());
+                Ok((stitch_from, out))
+            });
+            // Every shard buffer heads back toward the worker that
+            // filled it, whether or not the task survived.
+            self.park_outputs();
+            match stitched {
+                Ok((stitch_from, out)) => {
+                    let end = self.start.elapsed().as_secs_f64();
+                    tasks_done += 1;
+                    busy_secs += end - begin;
+                    if self.enabled {
+                        let ctx = Ctx::stage(self.stage).for_task(task);
+                        self.rec.span_at(
+                            names::STITCH,
+                            ctx,
+                            stitch_from,
+                            end,
+                            0.0,
+                            self.comm.output_bytes,
+                        );
+                        self.rec.span_at(names::STAGE_BUSY, ctx, begin, end, 0.0, 0);
+                        self.rec.count_at(
+                            names::BYTES_MOVED,
+                            Ctx::stage(self.stage),
+                            end,
+                            (self.comm.scatter_bytes + self.comm.output_bytes) as f64,
+                        );
                     }
-                    let stitch_from = if self.enabled {
-                        self.start.elapsed().as_secs_f64()
-                    } else {
-                        0.0
-                    };
-                    // Stitch and forward (handles strips and grids).
-                    match Tensor::stitch_tiles(&tiles) {
-                        Ok(out) => {
-                            let end = self.start.elapsed().as_secs_f64();
-                            tasks_done += 1;
-                            busy_secs += end - begin;
-                            if self.enabled {
-                                let ctx = Ctx::stage(self.stage).for_task(task);
-                                self.rec.span_at(
-                                    names::STITCH,
-                                    ctx,
-                                    stitch_from,
-                                    end,
-                                    0.0,
-                                    self.comm.output_bytes,
-                                );
-                                self.rec.span_at(names::STAGE_BUSY, ctx, begin, end, 0.0, 0);
-                                self.rec.count_at(
-                                    names::BYTES_MOVED,
-                                    Ctx::stage(self.stage),
-                                    end,
-                                    (self.comm.scatter_bytes + self.comm.output_bytes) as f64,
-                                );
-                            }
-                            if tx_out.send(Ok((task, out))).is_err() {
-                                break;
-                            }
-                        }
-                        Err(e) => {
-                            let _ = tx_out.send(Err(e.into()));
-                        }
+                    if tx_out.send(Ok((task, out))).is_err() {
+                        break;
                     }
                 }
                 Err(e @ RuntimeError::StageLost { .. }) => {
@@ -888,9 +971,17 @@ impl<'a> PipelineRuntime<'a> {
                 scope.spawn(move || {
                     // One scratch pool per worker thread: the fast
                     // backend reuses its im2col and output buffers
-                    // across the whole task stream.
+                    // across the whole task stream, and each unit brings
+                    // back the buffer of the output before.
                     let mut scratch = Scratch::new();
-                    while let Ok(WorkUnit { task, shard, tile }) = wrx.recv() {
+                    while let Ok(WorkUnit {
+                        task,
+                        shard,
+                        tile,
+                        spare,
+                    }) = wrx.recv()
+                    {
+                        scratch.give(spare);
                         let spec = &workers[shard];
                         let t0 = pico_telemetry::clock::wall_now();
                         let begin_ts = if enabled {
@@ -909,9 +1000,6 @@ impl<'a> PipelineRuntime<'a> {
                                 .infer_region2_with(&mut scratch, spec.seg, spec.out_region, &tile)
                                 .map_err(RuntimeError::from)
                         };
-                        // The input tile's buffer feeds the next
-                        // task's intermediates.
-                        scratch.give(tile.into_vec());
                         // Compute only: the stage's transfers are paid
                         // once, summed, by its coordinator.
                         if let Some(th) = throttle {
@@ -931,7 +1019,15 @@ impl<'a> PipelineRuntime<'a> {
                                 spec.comm_bytes as u64,
                             );
                         }
-                        if dtx.send((task, shard, result)).is_err() {
+                        // The input tile's buffer goes back to be sliced
+                        // into again.
+                        let done = DoneMsg {
+                            task,
+                            shard,
+                            tile: tile.into_vec(),
+                            result,
+                        };
+                        if dtx.send(done).is_err() {
                             break;
                         }
                     }
@@ -957,6 +1053,10 @@ impl<'a> PipelineRuntime<'a> {
                 recovery,
                 dead: vec![false; workers.len()],
                 failures: Vec::new(),
+                slots: workers.iter().map(|_| Slot::default()).collect(),
+                tiles: Vec::with_capacity(workers.len()),
+                owners: Vec::with_capacity(workers.len()),
+                next_map: Vec::new(),
             };
             let (tx_out, rx_out) = sync_channel::<StageMsg>(queue_cap);
             let rx_stage = std::mem::replace(&mut rx_in, rx_out);
@@ -1215,6 +1315,55 @@ mod tests {
                 ],
             )],
         )
+    }
+
+    /// Asserts `outputs` equal single-device inference to the bit.
+    fn assert_bit_exact(engine: &Engine, inputs: &[Tensor], outputs: &[Tensor]) {
+        assert_eq!(outputs.len(), inputs.len());
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (i, (input, out)) in inputs.iter().zip(outputs).enumerate() {
+            let reference = engine.infer(input).unwrap();
+            assert_eq!(out.region(), reference.region(), "task {i}");
+            assert_eq!(bits(out), bits(&reference), "task {i} diverged");
+        }
+    }
+
+    #[test]
+    fn recycled_buffers_leak_nothing_into_warm_batches() {
+        // Every task after the first slices into a tile buffer that
+        // held the previous task's tile and computes into an output
+        // buffer that held an earlier output: distinct inputs per task
+        // make any stale element show.
+        let m = zoo::mnist_toy();
+        let plan = two_worker_single_stage(&m);
+        let engine = Engine::with_seed(&m, 21);
+        let inputs: Vec<Tensor> = (0..12)
+            .map(|i| Tensor::random(m.input_shape(), 500 + i))
+            .collect();
+        let (outputs, _) = PipelineRuntime::new(&m, &plan, &engine)
+            .session(|sess| {
+                let mut outputs = Vec::new();
+                for batch in inputs.chunks(3) {
+                    outputs.extend(sess.submit_owned(batch.to_vec())?);
+                }
+                Ok(outputs)
+            })
+            .unwrap();
+        assert_bit_exact(&engine, &inputs, &outputs);
+
+        // The retry path: device 1 leaves at task 5, and its shard
+        // moves onto device 0, whose parked buffers now serve both.
+        let runtime = PipelineRuntime::builder(&m, &plan, &engine)
+            .leaves(&[(1, 5)])
+            .recovery(RecoveryPolicy::new(
+                Cluster::pi_cluster(2, 1.0),
+                CostParams::wifi_50mbps(),
+            ))
+            .build();
+        let report = runtime.run(inputs.clone()).unwrap();
+        assert_eq!(report.failures.len(), 1);
+        assert!(report.degraded_plan.is_none());
+        assert_bit_exact(&engine, &inputs, &report.outputs);
     }
 
     #[test]

@@ -262,10 +262,9 @@ impl<'m> Engine<'m> {
     /// allocates nothing but the returned tensor's buffer — and callers
     /// that hand even that back via [`Scratch::give`] allocate nothing
     /// at all (asserted by the counting-allocator regression tests; see
-    /// `tests/alloc_regression*.rs`). Graph-structured blocks still
-    /// allocate small per-path bookkeeping; the zero-allocation
-    /// guarantee covers plain-layer chains. The `Reference` backend
-    /// ignores the pool's recycled buffers.
+    /// `tests/alloc_regression*.rs`), graph blocks included: their path
+    /// bookkeeping, shortcut slices and merged maps are pooled too. The
+    /// `Reference` backend ignores the pool's recycled buffers.
     ///
     /// # Errors
     ///
@@ -438,7 +437,9 @@ fn layer_region(
 
 /// Runs a block over region `out`: each path back-propagates the region
 /// requirement through its own layers, computes forward from the shared
-/// input tile, and the path outputs merge (add or concat).
+/// input tile, and the path outputs merge (add or concat). The path
+/// bookkeeping, the shortcut slice and the merged map all come from
+/// `scratch`, so a warm block allocates nothing.
 #[allow(clippy::too_many_arguments)]
 fn block_region(
     backend: EngineBackend,
@@ -450,15 +451,23 @@ fn block_region(
     in_shape: Shape,
     out: Region2,
 ) -> Result<Tensor, TensorError> {
-    let mut outputs = Vec::with_capacity(block.paths.len());
+    // Moved out for the block and handed back after the merge (an
+    // error drops it; the next block regrows it).
+    let mut bufs = scratch.take_block();
+    let scratch::BlockBufs {
+        shapes,
+        regions,
+        outputs,
+    } = &mut bufs;
     for (pi, (path, weights)) in block.paths.iter().zip(path_weights).enumerate() {
         if path.is_empty() {
             // Identity shortcut: the block input region itself.
-            outputs.push(input.slice_region(out)?);
+            let buf = scratch.take_empty(input.shape().channels * out.area());
+            outputs.push(input.slice_region_into(out, buf)?);
             continue;
         }
         // Forward shapes along the path (global dims).
-        let mut shapes = Vec::with_capacity(path.len() + 1);
+        shapes.clear();
         shapes.push(in_shape);
         for layer in path {
             let prev = *shapes.last().expect("shapes starts non-empty");
@@ -471,7 +480,8 @@ fn block_region(
             );
         }
         // Backward region requirements.
-        let mut regions = vec![Region2::new(Rows::empty(), Rows::empty()); path.len()];
+        regions.clear();
+        regions.resize(path.len(), Region2::new(Rows::empty(), Rows::empty()));
         let mut need = out.clamp_to(shapes[path.len()].height, shapes[path.len()].width);
         for l in (0..path.len()).rev() {
             regions[l] = need;
@@ -502,12 +512,16 @@ fn block_region(
         }
     }
     let merged = match block.merge {
-        Merge::Add => ops::add(&outputs),
-        Merge::Concat => ops::concat_channels(&outputs),
+        Merge::Add => {
+            let len = outputs.first().map_or(0, |t| t.data().len());
+            ops::add_into(outputs, scratch.take_empty(len))
+        }
+        Merge::Concat => {
+            let len = outputs.iter().map(|t| t.data().len()).sum();
+            ops::concat_channels_into(outputs, scratch.take_empty(len))
+        }
     };
-    for t in outputs {
-        scratch.give(t.into_vec());
-    }
+    scratch.give_block(bufs);
     merged
 }
 

@@ -218,8 +218,13 @@ pub(crate) fn fc_full(
 
 /// Element-wise addition of tiles covering identical global regions.
 pub(crate) fn add(tiles: &[Tensor]) -> Result<Tensor, TensorError> {
+    add_into(tiles, Vec::new())
+}
+
+/// [`add`] into a recycled buffer (cleared first; the sum starts from
+/// a copy of the first tile and adds the rest in order).
+pub(crate) fn add_into(tiles: &[Tensor], mut buf: Vec<f32>) -> Result<Tensor, TensorError> {
     let first = tiles.first().ok_or(TensorError::Empty)?;
-    let mut out = first.clone();
     for t in &tiles[1..] {
         if t.shape() != first.shape() || t.region() != first.region() {
             return Err(TensorError::StitchMismatch {
@@ -232,15 +237,28 @@ pub(crate) fn add(tiles: &[Tensor]) -> Result<Tensor, TensorError> {
                 ),
             });
         }
-        for (o, v) in out.data_mut().iter_mut().zip(t.data()) {
+    }
+    buf.clear();
+    buf.extend_from_slice(first.data());
+    for t in &tiles[1..] {
+        for (o, v) in buf.iter_mut().zip(t.data()) {
             *o += v;
         }
     }
-    Ok(out)
+    let region = first.region();
+    Tensor::from_parts(first.shape(), region.rows.start, region.cols.start, buf)
 }
 
 /// Channel-wise concatenation of tiles covering identical global regions.
 pub(crate) fn concat_channels(tiles: &[Tensor]) -> Result<Tensor, TensorError> {
+    concat_channels_into(tiles, Vec::new())
+}
+
+/// [`concat_channels`] into a recycled buffer (cleared first).
+pub(crate) fn concat_channels_into(
+    tiles: &[Tensor],
+    mut buf: Vec<f32>,
+) -> Result<Tensor, TensorError> {
     let first = tiles.first().ok_or(TensorError::Empty)?;
     let region = first.region();
     let (h, w) = (first.shape().height, first.shape().width);
@@ -253,15 +271,16 @@ pub(crate) fn concat_channels(tiles: &[Tensor]) -> Result<Tensor, TensorError> {
         }
         channels += t.shape().channels;
     }
-    let mut data = Vec::with_capacity(channels * h * w);
+    buf.clear();
+    buf.reserve_exact(channels * h * w);
     for t in tiles {
-        data.extend_from_slice(t.data());
+        buf.extend_from_slice(t.data());
     }
     Tensor::from_parts(
         Shape::new(channels, h, w),
         region.rows.start,
         region.cols.start,
-        data,
+        buf,
     )
 }
 

@@ -41,6 +41,19 @@ pub struct Scratch {
     pool: Vec<Vec<f32>>,
     /// Recycled per-layer region trace, reused across inference calls.
     trace: Vec<Region2>,
+    /// Recycled graph-block bookkeeping, reused across blocks and calls.
+    block: BlockBufs,
+}
+
+/// The bookkeeping one graph block keeps while its paths run: one
+/// path's forward shapes and backward regions, and every finished
+/// path's output. Moved out of the pool for the block's duration (see
+/// [`Scratch::take_block`]).
+#[derive(Debug, Default)]
+pub(crate) struct BlockBufs {
+    pub(crate) shapes: Vec<Shape>,
+    pub(crate) regions: Vec<Region2>,
+    pub(crate) outputs: Vec<Tensor>,
 }
 
 impl Scratch {
@@ -54,6 +67,15 @@ impl Scratch {
     /// capacity when any fits (smallest adequate wins; otherwise the
     /// largest is grown).
     pub(crate) fn take(&mut self, len: usize) -> Vec<f32> {
+        let mut buf = self.take_empty(len);
+        buf.resize(len, 0.0);
+        buf
+    }
+
+    /// Takes an empty buffer with room for `len` elements, picked as
+    /// [`take`](Self::take) picks, for a caller that fills it by
+    /// appending.
+    pub(crate) fn take_empty(&mut self, len: usize) -> Vec<f32> {
         let pick = self
             .pool
             .iter()
@@ -72,7 +94,7 @@ impl Scratch {
             None => Vec::new(),
         };
         buf.clear();
-        buf.resize(len, 0.0);
+        buf.reserve(len);
         buf
     }
 
@@ -123,6 +145,21 @@ impl Scratch {
     /// capacity.
     pub(crate) fn give_trace(&mut self, trace: Vec<Region2>) {
         self.trace = trace;
+    }
+
+    /// Moves the block bookkeeping out for one graph block (pair with
+    /// [`Scratch::give_block`]).
+    pub(crate) fn take_block(&mut self) -> BlockBufs {
+        std::mem::take(&mut self.block)
+    }
+
+    /// Returns the block bookkeeping, handing its path outputs' buffers
+    /// back to the pool.
+    pub(crate) fn give_block(&mut self, mut block: BlockBufs) {
+        for t in block.outputs.drain(..) {
+            self.give(t.into_vec());
+        }
+        self.block = block;
     }
 }
 

@@ -3,6 +3,9 @@ use pico_model::{Region2, Rows, Shape};
 
 use crate::TensorError;
 
+/// Tiles [`Tensor::stitch_tiles`] orders without a heap buffer.
+const STACK_TILES: usize = 32;
+
 /// A dense CHW `f32` tensor (one sample; no batch dimension).
 ///
 /// Feature maps are indexed `(channel, row, column)`; PICO partitions
@@ -198,6 +201,22 @@ impl Tensor {
     /// Returns [`TensorError::RowsOutOfRange`] when `region` is not
     /// fully inside this tensor.
     pub fn slice_region(&self, region: Region2) -> Result<Tensor, TensorError> {
+        self.slice_region_into(region, Vec::new())
+    }
+
+    /// [`slice_region`](Self::slice_region) into a recycled buffer: `buf`
+    /// is cleared and refilled, so a caller that hands the same buffer
+    /// back task after task slices without allocating once its capacity
+    /// fits. Whatever `buf` held before never reaches the tile.
+    ///
+    /// # Errors
+    ///
+    /// As [`slice_region`](Self::slice_region); `buf` is dropped.
+    pub fn slice_region_into(
+        &self,
+        region: Region2,
+        mut buf: Vec<f32>,
+    ) -> Result<Tensor, TensorError> {
         if !self.region().contains(region) {
             return Err(TensorError::RowsOutOfRange {
                 rows: if self.rows().contains(region.rows) {
@@ -214,20 +233,21 @@ impl Tensor {
         }
         let c = self.shape.channels;
         let (h, w) = (region.rows.len(), region.cols.len());
-        let mut data = Vec::with_capacity(c * h * w);
+        buf.clear();
+        buf.reserve_exact(c * h * w);
         for ch in 0..c {
             for r in region.rows.iter() {
                 let local_r = r - self.row0;
                 let local_c = region.cols.start - self.col0;
                 let base = (ch * self.shape.height + local_r) * self.shape.width + local_c;
-                data.extend_from_slice(&self.data[base..base + w]);
+                buf.extend_from_slice(&self.data[base..base + w]);
             }
         }
         Ok(Tensor {
             shape: Shape::new(c, h, w),
             row0: region.rows.start,
             col0: region.cols.start,
-            data,
+            data: buf,
         })
     }
 
@@ -366,12 +386,37 @@ impl Tensor {
     /// Returns [`TensorError::StitchMismatch`] when the tiles do not
     /// tile a rectangle, and [`TensorError::Empty`] for no tiles.
     pub fn stitch_tiles(tiles: &[Tensor]) -> Result<Tensor, TensorError> {
-        let mut parts: Vec<&Tensor> = tiles
-            .iter()
-            .filter(|t| t.shape.height > 0 && t.shape.width > 0)
-            .collect();
+        Self::stitch_tiles_into(tiles, Vec::new())
+    }
+
+    /// [`stitch_tiles`](Self::stitch_tiles) into a caller-provided
+    /// buffer: `buf` is cleared and refilled, so a caller holding a
+    /// buffer of the map's size stitches without allocating. Whatever
+    /// `buf` held before never reaches the map.
+    ///
+    /// # Errors
+    ///
+    /// As [`stitch_tiles`](Self::stitch_tiles); `buf` is dropped.
+    pub fn stitch_tiles_into(tiles: &[Tensor], mut buf: Vec<f32>) -> Result<Tensor, TensorError> {
+        let live = |t: &&Tensor| t.shape.height > 0 && t.shape.width > 0;
+        let filler = tiles.iter().find(live).ok_or(TensorError::Empty)?;
+        // The sort order lives on the stack for any stage up to
+        // `STACK_TILES` shards, so a stitch allocates only its output.
+        let n = tiles.iter().filter(live).count();
+        let mut stack = [filler; STACK_TILES];
+        let mut heap = Vec::new();
+        let parts: &mut [&Tensor] = if n <= STACK_TILES {
+            for (slot, t) in stack.iter_mut().zip(tiles.iter().filter(live)) {
+                *slot = t;
+            }
+            &mut stack[..n]
+        } else {
+            heap.extend(tiles.iter().filter(live));
+            &mut heap
+        };
         parts.sort_by_key(|t| (t.row0, t.col0));
-        let first = *parts.first().ok_or(TensorError::Empty)?;
+        let parts = &*parts;
+        let first = parts[0];
         let (c, row0, col0) = (first.shape.channels, first.row0, first.col0);
         let same_band = |a: &&Tensor, b: &&Tensor| a.row0 == b.row0;
         let mismatch = |detail: String| Err(TensorError::StitchMismatch { detail });
@@ -413,20 +458,21 @@ impl Tensor {
         }
         // CHW order is channel → band → row → tile, so appending in that
         // order writes every output element exactly once.
-        let mut data = Vec::with_capacity(c * total_h * total_w);
+        buf.clear();
+        buf.reserve_exact(c * total_h * total_w);
         for ch in 0..c {
             for band in parts.chunk_by(same_band) {
                 let h = band[0].shape.height;
                 if let [strip] = band {
                     // A full-width tile's channel plane is already laid
                     // out as the output wants it.
-                    data.extend_from_slice(&strip.data[ch * h * total_w..(ch + 1) * h * total_w]);
+                    buf.extend_from_slice(&strip.data[ch * h * total_w..(ch + 1) * h * total_w]);
                     continue;
                 }
                 for r in 0..h {
                     for t in band {
                         let w = t.shape.width;
-                        data.extend_from_slice(&t.data[(ch * h + r) * w..(ch * h + r + 1) * w]);
+                        buf.extend_from_slice(&t.data[(ch * h + r) * w..(ch * h + r + 1) * w]);
                     }
                 }
             }
@@ -435,7 +481,7 @@ impl Tensor {
             shape: Shape::new(c, total_h, total_w),
             row0,
             col0,
-            data,
+            data: buf,
         })
     }
 
@@ -643,6 +689,37 @@ mod tests {
     }
 
     #[test]
+    fn recycled_buffers_carry_nothing_stale() {
+        let t = interior_window();
+        let region = Region2::new(Rows::new(5, 12), Rows::new(4, 13));
+        let fresh = t.slice_region(region).unwrap();
+        let stale = vec![f32::NAN; 4 * fresh.data().len()];
+        let ptr = stale.as_ptr();
+        let reused = t.slice_region_into(region, stale).unwrap();
+        assert_eq!(reused.data().as_ptr(), ptr, "the buffer was reused");
+        assert_eq!(reused.region(), fresh.region());
+        assert_eq!(reused.shape(), fresh.shape());
+        let bits = |x: &Tensor| x.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&reused), bits(&fresh));
+        // Out of bounds errs exactly as `slice_region` does.
+        let outside = Region2::new(Rows::new(0, 4), Rows::new(4, 13));
+        assert_eq!(
+            t.slice_region_into(outside, vec![f32::NAN; 8]),
+            t.slice_region(outside)
+        );
+        // Stitching into a stale, larger buffer reproduces the map.
+        let tiles = cut(
+            &t,
+            &[Rows::new(3, 9), Rows::new(9, 16)],
+            &[Rows::new(2, 15)],
+        );
+        let stale = vec![f32::NAN; 2 * t.data().len()];
+        let stitched = Tensor::stitch_tiles_into(&tiles, stale).unwrap();
+        assert_eq!(bits(&stitched), bits(&t));
+        assert_eq!(stitched.region(), t.region());
+    }
+
+    #[test]
     fn stitch_tiles_handles_strips_and_grids_and_shuffles() {
         let t = seq_tensor(2, 12, 9);
         // Grid, deliberately out of order.
@@ -659,6 +736,18 @@ mod tests {
             .map(|r| t.slice_rows(r).unwrap())
             .collect();
         assert_eq!(Tensor::stitch_tiles(&strips).unwrap(), t);
+    }
+
+    #[test]
+    fn stitch_tiles_orders_more_tiles_than_fit_on_the_stack() {
+        let t = seq_tensor(2, 12, 9);
+        let mut tiles: Vec<Tensor> = pico_model::grid_split_even(12, 9, 6, 9)
+            .into_iter()
+            .map(|r| t.slice_region(r).unwrap())
+            .collect();
+        assert!(tiles.len() > STACK_TILES);
+        tiles.reverse();
+        assert_eq!(Tensor::stitch_tiles(&tiles).unwrap(), t);
     }
 
     /// An interior window of a larger map, so every tile carries a
