@@ -31,7 +31,8 @@ pub const CALIBRATION_CAPACITY: f64 = 1e9;
 /// stay fast. Two cases are sized after AlexNet's stage-1 layers
 /// instead: a 13×13 conv whose K = 576 spans several K blocks and whose
 /// N = 169 is not a multiple of 16, and a 4096×4096 FC whose 64 MiB of
-/// weights stream from memory rather than sitting in cache.
+/// weights stream from memory rather than sitting in cache. One is the
+/// serving workloads' layer: toy(1)'s 3→16 conv on its 64×64 map.
 fn kernel_cases() -> Vec<(&'static str, Model)> {
     let conv = |name, spec: ConvSpec, side| {
         let m = Model::new(
@@ -60,6 +61,9 @@ fn kernel_cases() -> Vec<(&'static str, Model)> {
         conv("conv3x3_s2_c32", ConvSpec::square(32, 32, 3, 2, 1), 16),
         conv("dw3x3_c32", ConvSpec::depthwise(32, 3, 1, 1), 16),
         conv("conv3x3_c64_96_13px", ConvSpec::square(64, 96, 3, 1, 1), 13),
+        // What the serving workloads run: toy(1)'s conv, 3→16 on 64×64.
+        // With K = 27 the im2col fill is a large share of the layer.
+        conv("conv3x3_c3_16_64px", ConvSpec::square(3, 16, 3, 1, 1), 64),
         (
             "pool2x2_c32",
             Model::new(
@@ -132,9 +136,10 @@ pub fn simd_speedup(report: &BenchReport, case: &str) -> Option<f64> {
 }
 
 /// Measured `backend_alpha` for `backend` on `case`: its median runtime
-/// over the scalar `Im2colGemm` median that `alpha_scale` calibration
-/// fits against. Feed the result to [`CostParams::with_backend_speedup`]
-/// inverted, or set `params.backend_alpha` directly.
+/// over the median of the engine's default backend, which `alpha_scale`
+/// calibration fits against. Feed the result to
+/// [`CostParams::with_backend_speedup`] inverted, or set
+/// `params.backend_alpha` directly.
 pub fn measured_backend_alpha(
     report: &BenchReport,
     case: &str,
@@ -142,7 +147,7 @@ pub fn measured_backend_alpha(
 ) -> Option<f64> {
     report.ratio(
         &format!("{case}/{backend}"),
-        &format!("{case}/{}", EngineBackend::Im2colGemm),
+        &format!("{case}/{}", EngineBackend::default()),
     )
 }
 
@@ -213,17 +218,19 @@ pub fn planner(cfg: BenchConfig) -> BenchReport {
     report
 }
 
-/// Runs the kernel suite and fits [`CostParams::calibrated`] from its
-/// fast-backend convolution records, returning the fitted parameters
-/// alongside the `(flops, seconds)` samples used.
+/// Fits [`CostParams::calibrated`] from a kernel report's convolution
+/// records under the engine's default backend (so `backend_alpha = 1`
+/// prices that backend), returning the fitted parameters alongside the
+/// `(flops, seconds)` samples used.
 ///
 /// This is how `alpha_scale` values quoted in `EXPERIMENTS.md` are
 /// produced: measure, fit, plan with the result.
 pub fn calibration(report: &BenchReport) -> (CostParams, Vec<(f64, f64)>) {
+    let suffix = format!("/{}", EngineBackend::default());
     let samples: Vec<(f64, f64)> = report
         .records
         .iter()
-        .filter(|r| r.flops > 0.0 && r.name.ends_with("/im2col") && r.name.starts_with("conv"))
+        .filter(|r| r.flops > 0.0 && r.name.ends_with(&suffix) && r.name.starts_with("conv"))
         .map(|r| (r.flops, r.median_ns as f64 * 1e-9))
         .collect();
     (

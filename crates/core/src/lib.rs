@@ -90,8 +90,9 @@ impl Pico {
     }
 
     /// Overrides the compute backend every engine this deployment
-    /// builds will run (the default is the engine's own default,
-    /// [`EngineBackend::Im2colGemm`]).
+    /// builds will run, the live server's included (the default is the
+    /// engine's own default, [`EngineBackend::Simd`]: the host's vector
+    /// kernel, or the scalar one where it has none).
     pub fn with_backend(mut self, backend: EngineBackend) -> Self {
         self.backend = Some(backend);
         self
@@ -287,6 +288,9 @@ impl Pico {
     ///
     /// The deployment's recorder (see [`Pico::with_recorder`]) receives
     /// the serving telemetry; a recorder set on `request` is ignored.
+    /// The server's engine runs the deployment's backend (see
+    /// [`Pico::with_backend`]) when one is set, and the request's
+    /// otherwise.
     ///
     /// # Errors
     ///
@@ -294,7 +298,10 @@ impl Pico {
     /// re-planning policy, [`ServeError::Planning`] when the initial
     /// plan cannot be built.
     pub fn serve(&self, request: &ServeRequest) -> Result<ServeHandle, ServeError> {
-        let request = request.clone().with_recorder(self.recorder.clone());
+        let mut request = request.clone().with_recorder(self.recorder.clone());
+        if let Some(backend) = self.backend {
+            request = request.with_backend(backend);
+        }
         let (model, cluster) = (self.model.clone(), self.cluster.clone());
         if request.adaptive().is_some() {
             return ServeHandle::spawn_adaptive(model, cluster, self.params, &request);
@@ -436,6 +443,34 @@ mod tests {
             .unwrap();
         assert_eq!(report.outputs, reference.outputs);
         assert!(report.failures.iter().any(|f| f.device == victim));
+    }
+
+    #[test]
+    fn serve_runs_the_deployment_backend() {
+        // An int8 deployment is served in int8, not in the engine's
+        // default f32: the server's outputs are exactly the facade
+        // engine's under the same override.
+        let pico = Pico::new(zoo::mnist_toy(), Cluster::pi_cluster(3, 1.0))
+            .with_backend(EngineBackend::Int8);
+        let seed = 19;
+        let inputs: Vec<Tensor> = (0..3)
+            .map(|i| Tensor::random(pico.model().input_shape(), 60 + i))
+            .collect();
+        let handle = pico
+            .serve(&ServeRequest::new().with_engine_seed(seed))
+            .unwrap();
+        let tickets: Vec<_> = inputs
+            .iter()
+            .map(|x| handle.submit(0, x.clone()).unwrap())
+            .collect();
+        let served: Vec<Tensor> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
+        handle.shutdown().unwrap();
+        let int8 = pico.engine(seed);
+        let f32_default = Engine::with_seed(pico.model(), seed);
+        for (x, out) in inputs.iter().zip(&served) {
+            assert_eq!(out, &int8.infer(x).unwrap());
+            assert_ne!(out, &f32_default.infer(x).unwrap());
+        }
     }
 
     #[test]

@@ -22,11 +22,14 @@ pub struct CostParams {
     /// Per-backend throughput multiplier on compute times, composing
     /// multiplicatively with `alpha_scale` (Eq. 5 becomes
     /// `t = backend_alpha · alpha_scale · α · θ / ϑ`). `1.0` prices
-    /// the scalar `Im2colGemm` backend; a vectorized (`Simd`) or
-    /// int8-quantized device runs the same FLOPs in a fraction of the
-    /// time, so its plans should carry `backend_alpha < 1` (e.g. the
-    /// measured `Reference/Simd` gate ratio inverted —
-    /// `pico bench kernels` prints the per-backend medians this is
+    /// the engine's default backend (`Simd`: the host's vector kernel,
+    /// the scalar one where it has none), the one
+    /// `pico_bench::suites::calibration` fits `alpha_scale` on. A
+    /// device forced onto another backend runs the same FLOPs in a
+    /// different time, so its plans carry that backend's ratio to the
+    /// default (`pico_bench::suites::measured_backend_alpha`: above 1
+    /// for the scalar `Im2colGemm`, below 1 for a faster kernel;
+    /// `pico bench kernels` prints the per-backend medians it is
     /// derived from; see EXPERIMENTS.md).
     pub backend_alpha: f64,
 }

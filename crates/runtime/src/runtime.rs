@@ -38,7 +38,9 @@ pub struct StageStat {
 pub struct RunReport {
     /// Final feature maps, in task order.
     pub outputs: Vec<Tensor>,
-    /// Per-task completion times.
+    /// Per-task completion times, in task order. Empty for session
+    /// reports: a session keeps no per-task log (see
+    /// [`ExecutionSession::completed`] for its count).
     pub timings: Vec<TaskTiming>,
     /// Per-stage busy accounting (ascending stage index).
     ///
@@ -74,7 +76,9 @@ impl RunReport {
             .map(|s| s.stage)
     }
 
-    /// Completed tasks per wall-clock second, or `None` when the wall
+    /// Completed tasks per wall-clock second of a
+    /// [`run`](PipelineRuntime::run) report (a session report keeps no
+    /// per-task log, so it reads zero), or `None` when the wall
     /// duration is zero (trivially small streams on coarse clocks): a
     /// rate over a zero-length window is undefined, and returning a
     /// sentinel `0.0` invites division at call sites.
@@ -174,7 +178,6 @@ struct StageComm {
 
 /// What a driven pipeline hands back once it has drained.
 struct Drained {
-    timings: Vec<TaskTiming>,
     stage_stats: Vec<StageStat>,
     failures: Vec<FailureRecord>,
     dead_devices: Vec<usize>,
@@ -741,10 +744,13 @@ impl<'a> PipelineRuntime<'a> {
                 start,
                 self.recovery.as_ref(),
                 &stage_stats,
-                |sess| sess.pump(inputs[done..].iter().cloned()),
+                |sess| {
+                    sess.pump(inputs[done..].iter().cloned(), |task, completed_at| {
+                        timings.push(TaskTiming { task, completed_at });
+                    })
+                },
             )?;
             outputs.extend(completed);
-            timings.extend(drained.timings);
             // Pass stats are cumulative (seeded from the running
             // totals), so they replace rather than add.
             for st in drained.stage_stats {
@@ -811,9 +817,11 @@ impl<'a> PipelineRuntime<'a> {
     ///
     /// When `f` returns, the pipeline drains (every submitted task has
     /// already been handed back by `submit`, so nothing is in flight)
-    /// and the session's [`RunReport`] carries the per-task timings and
-    /// per-stage accounting. `RunReport::outputs` is empty for session
-    /// reports: outputs were returned batch-by-batch to the caller.
+    /// and the session's [`RunReport`] carries the per-stage accounting.
+    /// Its `outputs` and `timings` are empty: outputs were returned
+    /// batch-by-batch to the caller, and a session that serves for as
+    /// long as a server runs keeps no per-task log
+    /// ([`ExecutionSession::completed`] counts its tasks).
     ///
     /// Sessions run without a recovery policy — a failed device
     /// surfaces as an error from `submit` (departures injected with
@@ -837,7 +845,7 @@ impl<'a> PipelineRuntime<'a> {
             value?,
             RunReport {
                 outputs: Vec::new(),
-                timings: drained.timings,
+                timings: Vec::new(),
                 stage_stats: drained.stage_stats,
                 elapsed: start.elapsed(),
                 failures: drained.failures,
@@ -874,25 +882,19 @@ impl<'a> PipelineRuntime<'a> {
                 expect_shape: self.model.input_shape(),
                 stage_count: specs.len(),
                 next_task: base,
-                timings: Vec::new(),
+                completed: 0,
                 rec: self.recorder.clone(),
                 enabled: self.recorder.is_enabled(),
                 start,
             };
             let value = f(&mut session);
-            let ExecutionSession {
-                feeder,
-                sink,
-                timings,
-                ..
-            } = session;
+            let ExecutionSession { feeder, sink, .. } = session;
             // Closing both endpoints starts the channel-close cascade;
             // coordinators exit as their inputs drain and hand back the
             // per-stage accounting.
             drop(feeder);
             drop(sink);
             let mut drained = Drained {
-                timings,
                 stage_stats: Vec::with_capacity(coord_handles.len()),
                 failures: Vec::new(),
                 dead_devices: Vec::new(),
@@ -1079,7 +1081,7 @@ pub struct ExecutionSession {
     expect_shape: pico_model::Shape,
     stage_count: usize,
     next_task: usize,
-    timings: Vec<TaskTiming>,
+    completed: usize,
     rec: Recorder,
     enabled: bool,
     start: Instant,
@@ -1116,7 +1118,7 @@ impl ExecutionSession {
                 });
             }
         }
-        match self.pump(inputs.into_iter()) {
+        match self.pump(inputs.into_iter(), |_, _| {}) {
             (outputs, None) => Ok(outputs),
             (_, Some(e)) => Err(e),
         }
@@ -1125,13 +1127,17 @@ impl ExecutionSession {
     /// The one feed/collect loop: offers `inputs` (numbered on from
     /// [`submitted`](Self::submitted)) to stage 0 until its queue
     /// pushes back, then collects one output in task order, and so on
-    /// until every task is back. Returns the outputs completed in
-    /// order, plus the error that stopped the stream early, if any —
-    /// a [`RuntimeError::StageLost`] then means "lost at task t" with
+    /// until every task is back. Each output's task index and
+    /// completion time (seconds since the pipeline started) go to
+    /// `done` as it arrives: [`PipelineRuntime::run`] logs them, a
+    /// session drops them. Returns the outputs completed in order,
+    /// plus the error that stopped the stream early, if any — a
+    /// [`RuntimeError::StageLost`] then means "lost at task t" with
     /// every earlier task in the prefix.
     fn pump(
         &mut self,
         inputs: impl ExactSizeIterator<Item = Tensor>,
+        mut done: impl FnMut(usize, f64),
     ) -> (Vec<Tensor>, Option<RuntimeError>) {
         let base = self.next_task;
         let total = inputs.len();
@@ -1170,7 +1176,8 @@ impl ExecutionSession {
                             1.0,
                         );
                     }
-                    self.timings.push(TaskTiming { task, completed_at });
+                    self.completed += 1;
+                    done(task, completed_at);
                     outputs.push(out);
                 }
                 Ok(Err(e)) => return (outputs, Some(e)),
@@ -1190,7 +1197,7 @@ impl ExecutionSession {
 
     /// Tasks whose outputs have been handed back so far.
     pub fn completed(&self) -> usize {
-        self.timings.len()
+        self.completed
     }
 }
 
@@ -1687,6 +1694,7 @@ mod tests {
                 all.extend(sess.submit(&inputs[2..4])?);
                 all.extend(sess.submit(&[])?);
                 all.extend(sess.submit(&inputs[4..])?);
+                assert_eq!(sess.completed(), inputs.len());
                 Ok(all)
             })
             .unwrap();
@@ -1694,10 +1702,10 @@ mod tests {
         for (input, out) in inputs.iter().zip(&outputs) {
             assert_eq!(out, &engine.infer(input).unwrap());
         }
-        // The session report accounts every task, with outputs already
-        // handed out batch-by-batch.
+        // The session report's stage accounting covers every task; the
+        // outputs went out batch-by-batch and no per-task log is kept.
         assert!(report.outputs.is_empty());
-        assert_eq!(report.timings.len(), inputs.len());
+        assert!(report.timings.is_empty());
         for st in &report.stage_stats {
             assert_eq!(st.tasks, inputs.len(), "stage {}", st.stage);
         }

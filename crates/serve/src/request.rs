@@ -3,6 +3,7 @@ use std::sync::Arc;
 use pico_fleet::FleetFrontier;
 use pico_sim::{BatchPolicy, ReplanPolicy, TenantPolicy};
 use pico_telemetry::Recorder;
+use pico_tensor::EngineBackend;
 
 use crate::ServeConfig;
 
@@ -28,6 +29,7 @@ pub struct ServeRequest {
     config: ServeConfig,
     recorder: Recorder,
     engine_seed: u64,
+    backend: EngineBackend,
     adaptive: Option<(Arc<FleetFrontier>, ReplanPolicy)>,
 }
 
@@ -45,6 +47,7 @@ impl ServeRequest {
             config: ServeConfig::default(),
             recorder: Recorder::noop(),
             engine_seed: 1,
+            backend: EngineBackend::default(),
             adaptive: None,
         }
     }
@@ -85,6 +88,14 @@ impl ServeRequest {
         self
     }
 
+    /// Compute backend of the engine the server thread builds (the
+    /// engine's default unless set; `Pico::serve` sets the
+    /// deployment's `Pico::with_backend` override here).
+    pub fn with_backend(mut self, backend: EngineBackend) -> Self {
+        self.backend = backend;
+        self
+    }
+
     /// The assembled configuration.
     pub fn config(&self) -> &ServeConfig {
         &self.config
@@ -98,6 +109,11 @@ impl ServeRequest {
     /// The engine seed.
     pub fn engine_seed(&self) -> u64 {
         self.engine_seed
+    }
+
+    /// The engine backend.
+    pub fn backend(&self) -> EngineBackend {
+        self.backend
     }
 
     /// The armed re-planning setup, if any.

@@ -140,9 +140,9 @@ impl ServeHandle {
         // not yet taken.
         let (wake, woken) = sync_channel(1);
         let thread_state = Arc::clone(&state);
-        let seed = request.engine_seed();
+        let (seed, backend) = (request.engine_seed(), request.backend());
         let thread = std::thread::spawn(move || {
-            let engine = Engine::with_seed(&model, seed);
+            let engine = Engine::with_seed(&model, seed).with_backend(backend);
             let deployment = Deployment {
                 model: &model,
                 cluster: &cluster,

@@ -10,10 +10,11 @@ use crate::{LayerWeights, NetworkWeights, Tensor, TensorError, UnitWeights};
 /// Selects the compute kernels an [`Engine`] runs.
 ///
 /// The f32 backends produce identical tensors for every layer, region,
-/// and error case — `Reference` is the bit-exactness oracle,
-/// `Im2colGemm` the portable production path, `Simd` the explicitly
-/// vectorized one (bit-identical by preserving per-lane addition
-/// chains; see `simd.rs`). `Int8` trades bit-exactness versus f32 for
+/// and error case — `Reference` is the bit-exactness oracle, `Simd`
+/// the production default (the vectorized micro-kernel where the host
+/// has it, bit-identical by preserving per-lane addition chains; see
+/// `simd.rs`), and `Im2colGemm` the same path forced onto the portable
+/// scalar micro-kernel. `Int8` trades bit-exactness versus f32 for
 /// integer arithmetic: it is deterministic and bit-exactly
 /// *self*-consistent across region splits, but only tolerance-close to
 /// `Reference` (the differential suite in
@@ -22,12 +23,15 @@ use crate::{LayerWeights, NetworkWeights, Tensor, TensorError, UnitWeights};
 pub enum EngineBackend {
     /// The naive direct loops in `ops.rs`, kept verbatim as the oracle.
     Reference,
-    /// im2col lowering + cache-blocked GEMM with scratch-buffer reuse.
-    #[default]
+    /// im2col lowering + cache-blocked GEMM with scratch-buffer reuse,
+    /// forced onto the portable scalar micro-kernel whatever the host
+    /// offers (a development switch; `Simd` is never slower).
     Im2colGemm,
-    /// `Im2colGemm` with the runtime-detected vectorized micro-kernel
-    /// (AVX2 `f32x8`; portable scalar fallback elsewhere). Bit-identical
-    /// to `Reference`.
+    /// The default: the same im2col path on the runtime-detected
+    /// vectorized micro-kernel (AVX2 `f32x8`, probed once and cached;
+    /// the scalar kernel on hosts without it). Bit-identical to
+    /// `Reference`.
+    #[default]
     Simd,
     /// Per-channel symmetric int8 GEMM with i32 accumulation and static
     /// calibration-time activation scales. Tolerance-gated versus the
@@ -84,7 +88,7 @@ impl std::fmt::Display for EngineBackend {
 /// inference over the full output, so partitioned and monolithic
 /// execution share every line of arithmetic; stitching per-device
 /// outputs reproduces the single-device result bit-exactly. This holds
-/// under either [`EngineBackend`]; the fast default additionally reuses
+/// under every [`EngineBackend`]; the fast backends additionally reuse
 /// caller-provided [`Scratch`] buffers
 /// ([`Engine::infer_region2_with`]).
 #[derive(Debug, Clone)]
@@ -99,7 +103,7 @@ pub struct Engine<'m> {
 
 impl<'m> Engine<'m> {
     /// Creates an engine from explicit weights, with the default
-    /// (`Im2colGemm`) backend.
+    /// (`Simd`) backend.
     ///
     /// # Errors
     ///
@@ -124,7 +128,7 @@ impl<'m> Engine<'m> {
     }
 
     /// Creates an engine with synthetic seeded weights and the default
-    /// (`Im2colGemm`) backend.
+    /// (`Simd`) backend.
     pub fn with_seed(model: &'m Model, seed: u64) -> Self {
         Engine {
             model,
@@ -258,10 +262,10 @@ impl<'m> Engine<'m> {
     /// [`Engine::infer_region2`] with a caller-owned [`Scratch`] pool.
     ///
     /// Workers that keep one `Scratch` per thread across their task
-    /// stream reach a steady state where the `Im2colGemm` backend
-    /// allocates nothing but the returned tensor's buffer — and callers
-    /// that hand even that back via [`Scratch::give`] allocate nothing
-    /// at all (asserted by the counting-allocator regression tests; see
+    /// stream reach a steady state where the im2col backends (`Simd`,
+    /// `Im2colGemm`, `Int8`) allocate nothing but the returned tensor's
+    /// buffer — and callers that hand even that back via
+    /// [`Scratch::give`] allocate nothing at all (asserted by the counting-allocator regression tests; see
     /// `tests/alloc_regression*.rs`), graph blocks included: their path
     /// bookkeeping, shortcut slices and merged maps are pooled too. The
     /// `Reference` backend ignores the pool's recycled buffers.

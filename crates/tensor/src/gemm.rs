@@ -1,4 +1,5 @@
-//! Cache-blocked f32 GEMM micro-kernels for the `Im2colGemm` backend.
+//! Cache-blocked scalar f32 GEMM micro-kernels: the `Im2colGemm`
+//! backend's, and the `Simd` backend's on hosts without AVX2.
 //!
 //! These are the inner kernels of the fast compute backend: plain-slice
 //! routines with **no heap allocation and no panic shortcuts** (the

@@ -13,13 +13,14 @@
 //! numerics let the test suite prove the split/stitch machinery correct.
 //!
 //! Four compute backends share the engine ([`EngineBackend`]): the
-//! naive direct loops (`Reference`, the bit-exactness oracle), an
-//! im2col + cache-blocked-GEMM path (`Im2colGemm`, the default) that
-//! reuses [`Scratch`] buffers for allocation-free steady-state serving,
-//! a runtime-feature-detected vectorized variant (`Simd`) — all three
-//! bit-exactly identical — and a per-channel symmetric int8 mode
-//! (`Int8`) that is deterministic and self-consistent under region
-//! splits but only tolerance-close to the f32 oracle. An engine runs on
+//! naive direct loops (`Reference`, the bit-exactness oracle); an
+//! im2col + cache-blocked-GEMM path that reuses [`Scratch`] buffers for
+//! allocation-free steady-state serving, on the host-probed vectorized
+//! micro-kernel (`Simd`, the default) or forced onto the scalar one
+//! (`Im2colGemm`), all three bit-exactly identical; and a per-channel
+//! symmetric int8 mode (`Int8`) that is deterministic and
+//! self-consistent under region splits but only tolerance-close to the
+//! f32 oracle. An engine runs on
 //! the calling thread: one engine is one device, and a host's extra
 //! cores are more devices for the planner, not threads inside a kernel.
 //!

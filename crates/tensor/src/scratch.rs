@@ -1,8 +1,8 @@
-//! Scratch-buffer pool and im2col lowering for the fast backend.
+//! Scratch-buffer pool and im2col lowering for the fast backends.
 //!
-//! A [`Scratch`] owns every transient buffer the `Im2colGemm` backend
-//! needs: the im2col patch matrix plus a small pool of recycled output
-//! buffers. Kernels borrow from it instead of allocating, so a worker
+//! A [`Scratch`] owns every transient buffer the im2col backends
+//! (`Simd`, the default, plus `Im2colGemm` and `Int8`) need: the im2col
+//! patch matrix plus a small pool of recycled output buffers. Kernels borrow from it instead of allocating, so a worker
 //! that keeps one `Scratch` across its task stream reaches a steady
 //! state where inference performs **no heap allocations** beyond the
 //! result tensor it hands back — and callers that return even that
@@ -27,7 +27,7 @@ use crate::{LayerWeights, Tensor, TensorError};
 /// so the pool stays small.
 const POOL_CAP: usize = 8;
 
-/// Reusable buffers for the `Im2colGemm` backend (one per thread).
+/// Reusable buffers for the im2col backends (one per thread).
 #[derive(Debug, Default)]
 pub struct Scratch {
     /// The im2col patch matrix (`k × pixels`, row-major), reused and
@@ -290,6 +290,13 @@ pub(crate) fn conv_region_q(
 /// Fills `patches[(ic·kh+kr)·kw+kc][pixel]` with the input value each
 /// output pixel's kernel slot reads — zero for padding — in the exact
 /// (ic, kr, kc) order the reference accumulation walks.
+///
+/// For each kernel slot the output columns split into three runs: one
+/// that reads left padding, one that reads the map and one that reads
+/// right padding. The runs are worked out once per (ic, kr, kc), so an
+/// output row is two zero fills around one copy of the input row (a
+/// `copy_from_slice` at unit stride, a strided walk otherwise), with no
+/// per-pixel bounds test.
 fn im2col(
     input: &Tensor,
     in_shape: Shape,
@@ -302,35 +309,53 @@ fn im2col(
     let (sh, sw) = spec.stride;
     let (ph, pw) = spec.padding;
     let n = out.area();
+    let width = out.cols.len();
     let tile = input.shape();
     let (row0, col0) = (input.row0(), input.col0());
     let data = input.data();
     let in_per_group = spec.in_per_group();
+    if n == 0 {
+        return;
+    }
 
     for ic in 0..in_per_group {
         let ch = ic_base + ic;
         for kr in 0..kh {
             for kc in 0..kw {
+                // Output column `col` reads input column `col·sw + kc − pw`,
+                // which lies inside the map exactly for `col` in [lo, hi).
+                let lo = pw.saturating_sub(kc).div_ceil(sw);
+                let hi = (in_shape.width + pw).saturating_sub(kc).div_ceil(sw);
+                let lo = lo.clamp(out.cols.start, out.cols.end);
+                let hi = hi.clamp(lo, out.cols.end);
+                let (left, inside) = (lo - out.cols.start, hi - lo);
+                // The run's tile-local first read and the span of input
+                // columns it walks (an empty run reads nothing).
+                let (first, span) = match inside {
+                    0 => (0, 0),
+                    _ => (lo * sw + kc - pw - col0, (inside - 1) * sw + 1),
+                };
                 let dst = &mut patches[((ic * kh + kr) * kw + kc) * n..][..n];
-                let mut idx = 0;
-                for r in out.rows.iter() {
+                for (r, dst_row) in out.rows.iter().zip(dst.chunks_exact_mut(width)) {
                     let gr = (r * sh + kr).wrapping_sub(ph);
                     if gr >= in_shape.height {
                         // Entire output row reads zero padding.
-                        dst[idx..idx + out.cols.len()].fill(0.0);
-                        idx += out.cols.len();
+                        dst_row.fill(0.0);
                         continue;
                     }
                     let row = &data[(ch * tile.height + (gr - row0)) * tile.width..][..tile.width];
-                    for col in out.cols.iter() {
-                        let gc = (col * sw + kc).wrapping_sub(pw);
-                        dst[idx] = if gc >= in_shape.width {
-                            0.0
-                        } else {
-                            row[gc - col0]
-                        };
-                        idx += 1;
+                    let src = &row[first..first + span];
+                    let (pad_left, rest) = dst_row.split_at_mut(left);
+                    let (run, pad_right) = rest.split_at_mut(inside);
+                    pad_left.fill(0.0);
+                    if sw == 1 {
+                        run.copy_from_slice(src);
+                    } else {
+                        for (d, s) in run.iter_mut().zip(src.iter().step_by(sw)) {
+                            *d = *s;
+                        }
                     }
+                    pad_right.fill(0.0);
                 }
             }
         }

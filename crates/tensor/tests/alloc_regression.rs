@@ -1,6 +1,7 @@
-//! Steady-state allocation regression test for the scalar fast backend
-//! (`Im2colGemm`); `alloc_regression_simd.rs` and
-//! `alloc_regression_int8.rs` hold the `Simd` and `Int8` ones.
+//! Steady-state allocation regression test for the forced-scalar fast
+//! backend (`Im2colGemm`); `alloc_regression_simd.rs` and
+//! `alloc_regression_int8.rs` hold the `Simd` (default) and `Int8`
+//! ones.
 //!
 //! A worker that keeps one [`Scratch`](pico_tensor::Scratch) across its
 //! task stream and hands result buffers back via `Scratch::give` must
@@ -12,8 +13,10 @@
 //! on the hot path (like the region trace this test originally caught)
 //! fails it.
 //!
-//! The guarantee covers plain-layer chains; graph-structured blocks
-//! keep small per-path bookkeeping and are out of scope here.
+//! This binary covers plain-layer chains. Graph-structured blocks pool
+//! their path bookkeeping, shortcut slices and merged maps too;
+//! `alloc_regression_blocks.rs` pins them at zero under `Im2colGemm`
+//! and `Simd`.
 
 use pico_tensor::{Engine, EngineBackend};
 

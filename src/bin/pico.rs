@@ -117,9 +117,11 @@ options:
                              file
   --backend <reference|im2col|simd|int8>
                              `run`/`serve`: compute backend for every
-                             engine (simd is bit-identical to the
-                             scalar backends; int8 is tolerance-bounded
-                             low-precision)
+                             engine (default simd: the host's AVX2
+                             kernel, scalar where it has none; im2col
+                             forces the scalar kernel; all three f32
+                             backends are bit-identical; int8 is
+                             tolerance-bounded low-precision)
   --warmup/--iters/--runs <n> `bench`: measurement protocol overrides
   --json <file>              `bench`/`audit`: also write the
                              machine-readable report (round-tripped
